@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -fuzz FuzzProfReport -fuzztime 30s ./internal/obs/prof/
 	$(GO) test -fuzz FuzzParseUsage -fuzztime 30s ./internal/obs/space/
 	$(GO) test -fuzz FuzzCommutingGrant -fuzztime 30s ./internal/sched/
+	$(GO) test -fuzz FuzzSourceStream -fuzztime 30s ./internal/sched/
 	$(GO) test -fuzz FuzzTimeseriesDelta -fuzztime 30s ./internal/obs/tail/
 
 vet:

@@ -67,6 +67,7 @@ func BenchmarkSolve(b *testing.B) {
 		{"aspnes-herlihy/n=4", AspnesHerlihy, 4},
 		{"local-coin/n=4", LocalCoin, 4},
 		{"strong-coin/n=4", StrongCoin, 4},
+		{"anonymous/n=4", Anonymous, 4},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

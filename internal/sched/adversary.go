@@ -27,7 +27,7 @@ func (a *roundRobin) Eligible(int, int64) bool { return true }
 // NewRandom returns an adversary that picks a uniformly random waiting
 // process at every step, deterministically from seed.
 func NewRandom(seed int64) Adversary {
-	return &randomAdv{rng: rand.New(rand.NewSource(seed))}
+	return &randomAdv{rng: newRand(seed)}
 }
 
 type randomAdv struct{ rng *rand.Rand }
@@ -49,7 +49,7 @@ func NewLagger(victim, period int, seed int64) Adversary {
 	if period < 1 {
 		period = 1
 	}
-	return &lagger{victim: victim, period: int64(period), rng: rand.New(rand.NewSource(seed))}
+	return &lagger{victim: victim, period: int64(period), rng: newRand(seed)}
 }
 
 type lagger struct {
@@ -187,7 +187,7 @@ func NewPCT(n int, horizon int64, depth int, seed int64) Adversary {
 	if horizon < 1 {
 		horizon = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	prio := rng.Perm(n) // prio[pid]: larger = runs first
 	points := make(map[int64]bool, depth-1)
 	for len(points) < depth-1 {

@@ -297,10 +297,11 @@ func (c *commuter) done(p *Proc) {
 // teardown and Result assembly mirror Run's dispatcher path exactly.
 func runCommuting(cfg Config, adv Adversary, body func(*Proc)) (Result, error) {
 	c := newCommuter(cfg, adv)
+	procs := newProcs(cfg.N, cfg.Seed, c)
+	defer releaseProcs(procs)
 
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		p := newProc(i, cfg.Seed, c)
+	for i, p := range procs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -138,12 +138,11 @@ func (s *nativeSubstrate) Run(cfg Config, body func(*Proc)) (Result, error) {
 		}
 	}
 
-	procs := make([]*Proc, cfg.N)
+	procs := newProcs(cfg.N, cfg.Seed, g)
+	defer releaseProcs(procs)
 	finished := make([]bool, cfg.N)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		p := newProc(i, cfg.Seed, g)
-		procs[i] = p
+	for _, p := range procs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -90,6 +90,8 @@ func (p *Proc) ID() int { return p.id }
 
 // Rand returns the process-private deterministic random source. Algorithms
 // must draw all randomness from here so runs are reproducible from the seed.
+// The generator is valid only inside the body: the run recycles it when it
+// returns, so callers must not keep it past the body's return.
 func (p *Proc) Rand() *rand.Rand { return p.rng }
 
 // Steps reports how many atomic steps this process has performed so far.
@@ -118,17 +120,6 @@ func (p *Proc) DeclareRead(key int64) { p.fpKey, p.fpWrite = key, false }
 // DeclareWrite declares that this process's next Step writes the register
 // identified by key. See DeclareRead.
 func (p *Proc) DeclareWrite(key int64) { p.fpKey, p.fpWrite = key, true }
-
-// newProc builds the per-process handle; the RNG derivation is shared by both
-// engines and free-running mode so a seed reproduces identical private coins
-// everywhere.
-func newProc(id int, seed int64, g gate) *Proc {
-	return &Proc{
-		id:   id,
-		rng:  rand.New(rand.NewSource(seed ^ int64(id)*0x7E3779B97F4A7C15 ^ 0x5DEECE66D)),
-		gate: g,
-	}
-}
 
 // Adversary chooses which waiting process performs the next atomic step.
 type Adversary interface {
@@ -440,10 +431,11 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 		return runCommuting(cfg, adv, body)
 	}
 	d := newDispatcher(cfg, adv)
+	procs := newProcs(cfg.N, cfg.Seed, d)
+	defer releaseProcs(procs)
 
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
-		p := newProc(i, cfg.Seed, d)
+	for i, p := range procs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -537,11 +529,13 @@ func runRendezvous(cfg Config, body func(*Proc)) (Result, error) {
 	// waiting set; the grant charges the elapsed steps as wait time.
 	enqueuedAt := make([]int64, cfg.N)
 
+	procs := newProcs(cfg.N, cfg.Seed, r)
+	defer releaseProcs(procs)
+
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.N; i++ {
+	for i, p := range procs {
 		r.grants[i] = make(chan bool, 1)
 		r.arrived[i] = make(chan struct{})
-		p := newProc(i, cfg.Seed, r)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -660,15 +654,15 @@ func (g *freeGate) now() int64 { return g.clock.Load() }
 // register implementations. It blocks until all bodies return.
 func RunFree(n int, seed int64, body func(*Proc)) Result {
 	g := &freeGate{}
+	procs := newProcs(n, seed, g)
+	defer releaseProcs(procs)
 	var wg sync.WaitGroup
-	procs := make([]*Proc, n)
-	for i := 0; i < n; i++ {
-		procs[i] = newProc(i, seed, g)
+	for _, p := range procs {
 		wg.Add(1)
-		go func(p *Proc) {
+		go func() {
 			defer wg.Done()
 			body(p)
-		}(procs[i])
+		}()
 	}
 	wg.Wait()
 	res := Result{
