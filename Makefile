@@ -8,11 +8,12 @@ all: vet test build
 
 # ci is the full gate: formatting, vet, build, tests, a short -race pass
 # over the whole module (the batch engine fans instances over a worker pool,
-# and the -race pass drives the dispatch engine's equivalence suite, so the
-# direct-dispatch run loop is race-checked on every CI run — including the
-# audit monitor's probe paths), a benchmark smoke pass (compile + a short run
-# of the solve and scheduler-engine microbenchmarks, catching benchmarks
-# broken by refactors), an audit smoke pass (every protocol under the online
+# and the -race pass drives the coroutine engine's equivalence and teardown
+# suites, so the coroutine driver's token handoff is race-checked on every CI
+# run — including the audit monitor's probe paths), a benchmark smoke pass
+# (compile + a short run of the solve and scheduler-engine microbenchmarks,
+# sequential, commuting and rendezvous, catching benchmarks broken by
+# refactors), an audit smoke pass (every protocol under the online
 # invariant monitor with sampled probes escalated; consensus-sim exits
 # non-zero if any probe fires), the live-telemetry smoke test, and a
 # benchdiff self-compare to keep the regression gate runnable, and the
@@ -34,7 +35,7 @@ all: vet test build
 # equivalence suite, so the batched grant path is race-checked too.
 ci: fmt-check vet build test
 	$(GO) test -short -race -timeout 900s ./...
-	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkRendezvous' -benchtime 0.2s -timeout 600s . ./internal/sched/
+	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkCommuting|BenchmarkRendezvous' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \
 		$(GO) run ./cmd/consensus-sim -alg $$alg -inputs 0,1,1,0 -schedule random -seed 42 -audit -audit-sample 1 >/dev/null || exit 1; \
 	done

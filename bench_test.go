@@ -273,7 +273,8 @@ func BenchmarkWalkValue(b *testing.B) {
 }
 
 // BenchmarkSchedulerStep measures the raw cost of one scheduled atomic step
-// (channel handoff round trip), the simulation's unit of time.
+// granted to the process already holding the token (an adversary consult and
+// a plain return, no coroutine switch), the simulation's unit of time.
 func BenchmarkSchedulerStep(b *testing.B) {
 	b.ReportAllocs()
 	_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {

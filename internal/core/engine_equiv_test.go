@@ -37,7 +37,7 @@ func execTraced(t *testing.T, kind Kind, seed int64, rendezvous bool) (Outcome, 
 // level: for every protocol kind, the full cross-layer JSONL event stream —
 // every register read, scan retry, coin flip and decision, in scheduler
 // order — plus decisions and step accounting are byte-identical whether the
-// run executes under the legacy rendezvous engine or the direct-dispatch
+// run executes under the rendezvous reference engine or the coroutine
 // engine. Both engines serialize body startup, so even events emitted before
 // a process's first scheduler step (each protocol's initial round advance)
 // arrive in pid order and the comparison is a plain byte-equality check.

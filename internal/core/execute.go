@@ -145,7 +145,7 @@ type ExecConfig struct {
 	// cost.
 	Sink *obs.Sink
 
-	// Rendezvous selects the legacy rendezvous step engine (test-only; see
+	// Rendezvous selects the rendezvous reference step engine (test-only; see
 	// sched.Config.Rendezvous). Used by the engine-equivalence suite to prove
 	// protocol-level executions are byte-identical under both engines.
 	// Ignored when Substrate is non-nil.

@@ -9,7 +9,7 @@ import (
 // The tests in this file prove the commuting-dispatch engine's determinism
 // contract: every schedule it produces is a legal sequential grant order.
 // Concretely, recording the commuting run's grant sequence and replaying it
-// through the sequential direct-dispatch engine (a FuncAdversary that hands
+// through the sequential dispatcher (a FuncAdversary that hands
 // out the recorded picks one by one) reproduces the run exactly — same grant
 // sequence, same Result accounting, same error. Batch formation itself is
 // pinned by property tests over the commutation checker.

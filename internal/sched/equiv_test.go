@@ -7,8 +7,8 @@ import (
 	"github.com/dsrepro/consensus/internal/obs"
 )
 
-// The tests in this file prove the direct-dispatch engine and the legacy
-// rendezvous engine produce byte-identical executions: the same grant
+// The tests in this file prove the coroutine engine and the rendezvous
+// reference engine produce byte-identical executions: the same grant
 // sequence (pid, step) pairs, the same Result accounting, the same error, and
 // the same sched.grant totals, across a sweep of seeds, adversaries and
 // process bodies. Adversaries are stateful, so each engine run constructs a
@@ -173,11 +173,12 @@ func TestEnginesAgreeOnStall(t *testing.T) {
 }
 
 func TestDispatchEngineCoalescesWithoutParking(t *testing.T) {
-	// A quantum adversary grants runs of steps to one process; the dispatch
-	// engine must execute those runs via self-picks (plain returns). We can't
-	// observe parks directly, but the grant sequence proves coalescing is
-	// correct and the engine sweep above proves it is equivalent; here we pin
-	// the run structure itself: with quantum q, grants come in blocks of q.
+	// A quantum adversary grants runs of steps to one process; the coroutine
+	// engine must execute those runs via self-picks, plain returns from Step
+	// with no coroutine switch. The engine sweep above proves the schedule
+	// equivalent; here we pin the run structure that lets every grant after a
+	// block's first skip the switch: with quantum q, grants come in blocks
+	// of q.
 	const q = 5
 	var grants []grantRec
 	_, err := Run(Config{
@@ -213,45 +214,64 @@ func benchBody(steps int) func(*Proc) {
 	}
 }
 
-func benchEngine(b *testing.B, rendezvous bool, adv func(n int, seed int64) Adversary) {
-	const n, steps = 4, 1000
+const benchN, benchSteps = 4, 1000
+
+// benchEngine runs body under the engine that mode selects (its Rendezvous
+// and Commuting fields), one seed per iteration.
+func benchEngine(b *testing.B, mode Config, adv func(n int, seed int64) Adversary, body func(*Proc)) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		seed := int64(i + 1)
-		_, err := Run(Config{
-			N:          n,
-			Seed:       seed,
-			Adversary:  adv(n, seed),
-			Rendezvous: rendezvous,
-		}, benchBody(steps))
-		if err != nil {
+		cfg := mode
+		cfg.N, cfg.Seed, cfg.Adversary = benchN, seed, adv(benchN, seed)
+		if _, err := Run(cfg, body); err != nil {
 			b.Fatalf("run failed: %v", err)
 		}
 	}
 	b.SetBytes(0)
-	b.ReportMetric(float64(b.N)*float64(n*steps)/b.Elapsed().Seconds(), "steps/s")
+	b.ReportMetric(float64(b.N)*float64(benchN*benchSteps)/b.Elapsed().Seconds(), "steps/s")
 }
 
+func benchRoundRobin(int, int64) Adversary    { return NewRoundRobin() }
+func benchRandom(_ int, seed int64) Adversary { return NewRandom(seed) }
+func benchQuantum(int, int64) Adversary       { return NewQuantum(8) }
+
 func BenchmarkDispatchRoundRobin(b *testing.B) {
-	benchEngine(b, false, func(n int, seed int64) Adversary { return NewRoundRobin() })
+	benchEngine(b, Config{}, benchRoundRobin, benchBody(benchSteps))
 }
 
 func BenchmarkRendezvousRoundRobin(b *testing.B) {
-	benchEngine(b, true, func(n int, seed int64) Adversary { return NewRoundRobin() })
+	benchEngine(b, Config{Rendezvous: true}, benchRoundRobin, benchBody(benchSteps))
 }
 
 func BenchmarkDispatchRandom(b *testing.B) {
-	benchEngine(b, false, func(n int, seed int64) Adversary { return NewRandom(seed) })
+	benchEngine(b, Config{}, benchRandom, benchBody(benchSteps))
 }
 
 func BenchmarkRendezvousRandom(b *testing.B) {
-	benchEngine(b, true, func(n int, seed int64) Adversary { return NewRandom(seed) })
+	benchEngine(b, Config{Rendezvous: true}, benchRandom, benchBody(benchSteps))
 }
 
 func BenchmarkDispatchQuantum(b *testing.B) {
-	benchEngine(b, false, func(n int, seed int64) Adversary { return NewQuantum(8) })
+	benchEngine(b, Config{}, benchQuantum, benchBody(benchSteps))
 }
 
 func BenchmarkRendezvousQuantum(b *testing.B) {
-	benchEngine(b, true, func(n int, seed int64) Adversary { return NewQuantum(8) })
+	benchEngine(b, Config{Rendezvous: true}, benchQuantum, benchBody(benchSteps))
+}
+
+// BenchmarkCommutingRandom runs the commuting dispatcher with every process
+// declaring a write to its own register, so all four steps commute and the
+// random adversary's picks open batches of the whole waiting set.
+func BenchmarkCommutingRandom(b *testing.B) {
+	var keys [benchN]int64
+	for i := range keys {
+		keys[i] = NewFootprintKey()
+	}
+	benchEngine(b, Config{Commuting: true}, benchRandom, func(p *Proc) {
+		for i := 0; i < benchSteps; i++ {
+			p.DeclareWrite(keys[p.ID()])
+			p.Step()
+		}
+	})
 }

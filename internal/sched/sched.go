@@ -2,30 +2,31 @@
 // substrate for asynchronous shared-memory algorithms.
 //
 // Every atomic shared-memory action performed by a simulated process must be
-// preceded by a call to Proc.Step. Under the step scheduler, Step blocks the
-// calling goroutine until an Adversary selects that process to move; at most
-// one process is between Step and its atomic action at any time, so the
-// interleaving of atomic actions is exactly the sequence of scheduler grants.
-// This yields fully deterministic executions for a given (seed, adversary)
-// pair, which is what the correctness and complexity experiments in this
-// repository rely on.
+// preceded by a call to Proc.Step. Under the step scheduler, Step suspends the
+// calling process until an Adversary selects it to move; at most one process
+// is between Step and its atomic action at any time, so the interleaving of
+// atomic actions is exactly the sequence of scheduler grants. This yields
+// fully deterministic executions for a given (seed, adversary) pair, which is
+// what the correctness and complexity experiments in this repository rely on.
 //
 // Two step engines implement that contract:
 //
-//   - The direct-dispatch engine (the default): scheduling runs inside the
-//     process goroutines themselves. The goroutine holding the "token" (the
-//     one process currently between a grant and its next Step) consults the
-//     adversary inline at its next Step; when the adversary picks the token
-//     holder again the grant coalesces into a plain function return — no
-//     channel operation, no goroutine park — and consecutive grants to one
-//     process execute as a run of steps. A cross-process handoff is a single
-//     send on the target's one-slot grant channel. See DESIGN.md §11.
-//   - The legacy rendezvous engine (Config.Rendezvous, test-only): a
-//     dedicated scheduler goroutine mediates every step through an event
-//     send plus a grant send — two channel crossings per atomic step. It is
-//     retained solely so the equivalence suite can prove the two engines
-//     produce byte-identical executions, and will be deleted once the parity
-//     tests have soaked.
+//   - The coroutine engine (the default): every process body runs as a
+//     runtime coroutine (iter.Pull, coro.go), driven from the goroutine that
+//     called Run. The process holding the "token" (the one currently between
+//     a grant and its next Step) consults the adversary inline at its next
+//     Step. When the adversary picks the token holder again, the grant
+//     coalesces into a plain function return, and consecutive grants to one
+//     process execute as a run of steps. A cross-process grant switches
+//     coroutines on the same thread, with no trip through the Go scheduler.
+//     The sequential dispatcher (one grant per adversary consult) and the
+//     commuting dispatcher (Config.Commuting, commute.go) are two dispatch
+//     policies over that one driver. See DESIGN.md §11.
+//   - The rendezvous engine (Config.Rendezvous): a dedicated scheduler
+//     goroutine mediates every step through an event send plus a grant send
+//     to process goroutines, two channel crossings per atomic step. It is the
+//     reference implementation: the equivalence suites prove the coroutine
+//     engine produces byte-identical executions against it.
 //
 // The package also provides a free-running mode (see RunFree) in which Step is
 // a no-op and processes race natively as goroutines; atomicity of individual
@@ -56,9 +57,9 @@ var (
 	ErrStalled = errors.New("sched: execution stalled (all waiting processes crashed)")
 )
 
-// haltSignal is thrown (via panic) into a process goroutine blocked in Step
-// when the run is being torn down (budget exceeded or stall). It is recovered
-// by the goroutine wrapper inside Run and never escapes this package.
+// haltSignal is thrown (via panic) into a process suspended in Step when the
+// run is being torn down (budget exceeded or stall). It is recovered by the
+// process's coroutine or goroutine wrapper and never escapes this package.
 type haltSignal struct{}
 
 // Proc is the handle a simulated process uses to interact with the scheduler.
@@ -156,16 +157,17 @@ type Config struct {
 	// Sink, if non-nil, receives scheduler-level accounting (sched.grant
 	// counts) in the unified observability registry. Grants are counted, not
 	// recorded as events — one event per atomic step would drown any trace.
-	// The dispatch engine batches the counter updates (final totals are
+	// The coroutine engine batches the counter updates (final totals are
 	// exact; mid-run registry scrapes may lag by at most grantFlushBatch).
 	Sink *obs.Sink
 
-	// Rendezvous selects the legacy per-step rendezvous engine (a dedicated
+	// Rendezvous selects the per-step rendezvous engine (a dedicated
 	// scheduler goroutine, two channel crossings per step) instead of the
-	// direct-dispatch engine. The two engines produce byte-identical
-	// executions — identical grant sequences, step accounting, traces and
-	// decisions per seed. The flag exists only so the equivalence tests can
-	// prove that, and will be removed once the legacy gate is retired.
+	// coroutine engine. The two engines produce byte-identical executions —
+	// identical grant sequences, step accounting, traces and decisions per
+	// seed. The rendezvous engine stays as the reference implementation the
+	// equivalence suites prove the coroutine engine against; it is several
+	// times slower, so nothing else selects it.
 	Rendezvous bool
 
 	// Commuting selects the commuting-dispatch engine (see commute.go): each
@@ -203,30 +205,41 @@ type Result struct {
 	Finished []bool
 }
 
-// grantFlushBatch is how many sched.grant counts the dispatch engine
-// accumulates locally before flushing them into the registry in one atomic
+// grantFlushBatch is how many sched.grant counts the coroutine engines
+// accumulate locally before flushing them into the registry in one atomic
 // add. Totals are exact at run end; only mid-run scrapes can lag.
 const grantFlushBatch = 256
 
-// procSlot is one process's scheduling state in the dispatch engine, padded
+// procSlot is one process's scheduling state in the coroutine engines, padded
 // to a cache line so per-proc accounting updates in concurrent batch workers
 // never false-share (each instance has its own slots, but instances from
 // different workers can be allocated adjacently).
 type procSlot struct {
-	grant      chan bool     // one-slot token gate; false grant means halt
-	arrived    chan struct{} // closed when the proc reaches its first Step (or finishes without one)
-	enqueuedAt int64         // global step count when the proc last entered Step
+	next       func() (struct{}, bool) // resumes the process's coroutine
+	stop       func()                  // tears it down: a suspended park panics haltSignal
+	yield      func(struct{}) bool     // suspends it back to its resumer
+	enqueuedAt int64                   // global step count when the proc last entered Step
 	perProc    int64
 	waitSteps  int64
-	_          [32]byte
+	resumed    bool // on the resume chain: running, or waiting in next for a coroutine it resumed
+	_          [15]byte
 }
 
-// dispatcher implements gate for the direct-dispatch engine. All mutable
-// scheduling state is owned by whichever goroutine holds the token; token
-// handoffs through the grant channels (and, at startup, the startPending
-// counter) provide the happens-before edges, so no lock is needed anywhere
-// on the step path.
-type dispatcher struct {
+// park suspends the process until a grant resumes it. A false yield means
+// the run was torn down while the process waited.
+func (s *procSlot) park() {
+	if !s.yield(struct{}{}) {
+		panic(haltSignal{})
+	}
+}
+
+// driver is the scheduling state both coroutine engines share. Every body
+// runs as a coroutine (coro.go), and only one of them runs at a time: the
+// token holder. Its Step consults the engine's dispatch policy inline. A
+// self-pick returns at once; a cross-pick records the grantee in turn and
+// passes the token on (see pass). The coroutine switches order every access,
+// so no lock or atomic is needed anywhere on the step path.
+type driver struct {
 	n        int
 	adv      Adversary
 	maxSteps int64
@@ -240,28 +253,22 @@ type dispatcher struct {
 
 	steps         int64
 	grantsPending int64
-	clock         atomic.Int64
-	startPending  atomic.Int32 // procs not yet at their first Step (or done)
-
-	// doneMu serializes completions that race during startup (bodies that
-	// finish before their first Step run concurrently). Post-startup it is
-	// uncontended: only the token holder can complete.
-	doneMu  sync.Mutex
-	err     error
-	badPick string // deferred adversary-misbehavior panic, rethrown by Run
+	turn          int // token holder; -1 once the run is over
+	err           error
+	badPick       string // deferred adversary-misbehavior panic, rethrown by Run
 }
 
 // verdict is the outcome of one dispatch: who got the token.
 type verdict uint8
 
 const (
-	grantedSelf  verdict = iota // caller keeps running, no park
-	grantedOther                // token handed off, caller parks
+	grantedSelf  verdict = iota // caller keeps running, no switch
+	grantedOther                // token handed off, caller passes it on
 	haltedRun                   // run torn down during this dispatch
 )
 
-func newDispatcher(cfg Config, adv Adversary) *dispatcher {
-	d := &dispatcher{
+func newDriver(cfg Config, adv Adversary) driver {
+	d := driver{
 		n:        cfg.N,
 		adv:      adv,
 		maxSteps: cfg.MaxSteps,
@@ -271,78 +278,94 @@ func newDispatcher(cfg Config, adv Adversary) *dispatcher {
 		live:     make([]int, cfg.N),
 		isLive:   make([]bool, cfg.N),
 		finished: make([]bool, cfg.N),
+		turn:     -1,
 	}
-	for i := 0; i < cfg.N; i++ {
-		d.slots[i].grant = make(chan bool, 1)
-		d.slots[i].arrived = make(chan struct{})
+	for i := range d.live {
 		d.live[i] = i
 		d.isLive[i] = true
 	}
-	d.startPending.Store(int32(cfg.N))
 	return d
 }
 
-func (d *dispatcher) now() int64 { return d.clock.Load() }
+func (d *driver) now() int64 { return d.steps }
 
-// step implements gate. The caller holds the token (it is the one process
-// running user code), so it consults the adversary for the next grant
-// directly: a self-pick coalesces into a plain return, a cross-pick hands the
-// token over with one channel send and parks.
-func (d *dispatcher) step(p *Proc) {
-	pid := p.id
-	d.slots[pid].enqueuedAt = d.steps
-	if p.steps == 0 {
-		// First Step: register arrival. Until every process has reached its
-		// first Step (or finished without one) there is no token; the last
-		// arriver performs the run's first dispatch. The arrival signal lets
-		// Run serialize body startup so pre-Step preamble code (which may
-		// emit trace events) executes in pid order.
-		close(d.slots[pid].arrived)
-		if d.startPending.Add(-1) > 0 {
-			d.park(pid)
-			return
-		}
+// enter queues p for its next grant. It reports whether that Step is over
+// already: p's first Step only parks, because the driver issues the run's
+// first dispatch once every body has arrived.
+func (d *driver) enter(p *Proc) bool {
+	d.slots[p.id].enqueuedAt = d.steps
+	if p.steps > 0 {
+		return false
 	}
-	switch d.dispatch(pid) {
-	case grantedSelf:
-		return // continue the run of steps without parking
+	d.slots[p.id].park()
+	return true
+}
+
+// settle finishes pid's Step on its own dispatch's verdict.
+func (d *driver) settle(pid int, v verdict) {
+	switch v {
+	case grantedOther:
+		d.pass(pid)
 	case haltedRun:
 		panic(haltSignal{})
-	default:
-		d.park(pid)
 	}
 }
 
-// park blocks until granted; a false grant tears the process down.
-func (d *dispatcher) park(pid int) {
-	if ok := <-d.slots[pid].grant; !ok {
-		panic(haltSignal{})
+// pass hands the token on from self (-1 for the goroutine that called Run)
+// and returns once it is back. The resumed coroutines form a chain: each runs
+// until it yields or returns to the one that resumed it. A suspended grantee
+// is resumed directly, one coroutine switch; a grantee lower on the chain is
+// reached by yielding down to it. When the run ends (turn -1), a process
+// unwinds with haltSignal and the driver returns.
+func (d *driver) pass(self int) {
+	for d.turn != self {
+		if d.turn < 0 {
+			if self < 0 {
+				return
+			}
+			panic(haltSignal{})
+		}
+		if d.slots[d.turn].resumed {
+			d.slots[self].park()
+			continue
+		}
+		d.resume(d.turn)
 	}
 }
 
-// dispatch consults the adversary and issues one grant, reporting who got the
-// token. self is -1 when called from a completion (the finishing process
-// cannot be picked: it has already been removed from the live set).
-func (d *dispatcher) dispatch(self int) verdict {
-	if d.maxSteps > 0 && d.steps >= d.maxSteps {
-		d.halt(ErrStepBudget, self)
-		return haltedRun
-	}
+// resume runs pid's coroutine until it yields or returns.
+func (d *driver) resume(pid int) {
+	s := &d.slots[pid]
+	s.resumed = true
+	s.next()
+	s.resumed = false
+}
+
+func (d *driver) overBudget() bool { return d.maxSteps > 0 && d.steps >= d.maxSteps }
+
+// consult asks the adversary for the next grantee. It returns -1 after
+// halting the run when the adversary refuses or picks a pid not waiting.
+func (d *driver) consult() int {
 	pick := d.adv.Next(d.live, d.steps)
 	if pick == -1 {
-		d.halt(ErrStalled, self)
-		return haltedRun
+		d.halt(ErrStalled)
+		return -1
 	}
 	if pick < 0 || pick >= d.n || !d.isLive[pick] {
 		d.badPick = fmt.Sprintf("sched: adversary picked pid %d not in waiting set %v", pick, d.live)
-		d.halt(ErrStalled, self)
-		return haltedRun
+		d.halt(ErrStalled)
+		return -1
 	}
-	s := &d.slots[pick]
+	return pick
+}
+
+// grant charges and counts one grant to pid. self is the dispatching
+// process, or -1 when the driver or a completing body dispatches.
+func (d *driver) grant(pid, self int) verdict {
+	s := &d.slots[pid]
 	s.waitSteps += d.steps - s.enqueuedAt
 	d.steps++
 	s.perProc++
-	d.clock.Store(d.steps)
 	if d.sink != nil {
 		d.grantsPending++
 		if d.grantsPending >= grantFlushBatch {
@@ -350,65 +373,81 @@ func (d *dispatcher) dispatch(self int) verdict {
 		}
 	}
 	if d.onStep != nil {
-		d.onStep(pick, d.steps)
+		d.onStep(pid, d.steps)
 	}
-	if pick == self {
+	d.turn = pid
+	if pid == self {
 		return grantedSelf
 	}
-	s.grant <- true
 	return grantedOther
 }
 
-// halt ends the run: every parked process is woken with a false grant and
-// unwinds via haltSignal. self (when >= 0) is the in-flight dispatcher; it
-// must not be woken — it learns of the halt from dispatch's verdict.
-func (d *dispatcher) halt(err error, self int) {
+// halt ends the run: every process on the resume chain unwinds, and the
+// driver then tears down the suspended ones.
+func (d *driver) halt(err error) verdict {
 	d.err = err
+	d.turn = -1
 	d.flushGrants()
-	for _, pid := range d.live {
-		if pid != self {
-			d.slots[pid].grant <- false
-		}
-	}
+	return haltedRun
 }
 
 // flushGrants publishes the locally batched sched.grant count.
-func (d *dispatcher) flushGrants() {
+func (d *driver) flushGrants() {
 	if d.grantsPending > 0 {
 		d.sink.CountN(obs.SchedGrant, d.grantsPending)
 		d.grantsPending = 0
 	}
 }
 
-// done records a completed body. A process that has taken at least one step
-// holds the token and dispatches the next grant itself; one that finished
-// before its first Step participates in startup registration instead.
-func (d *dispatcher) done(p *Proc) {
-	d.doneMu.Lock()
-	defer d.doneMu.Unlock()
-	pid := p.id
-	if p.steps == 0 {
-		// Finished without ever calling Step: this is the proc's arrival.
-		close(d.slots[pid].arrived)
-	}
-	d.finished[pid] = true
-	d.isLive[pid] = false
-	for i, v := range d.live {
-		if v == pid {
-			d.live = append(d.live[:i], d.live[i+1:]...)
-			break
-		}
-	}
+// retire records a completed body and reports whether it must dispatch the
+// next grant: it holds the token unless it finished before its first Step,
+// and the run is over once every process has finished.
+func (d *driver) retire(p *Proc) bool {
+	d.finished[p.id] = true
+	d.isLive[p.id] = false
+	i := indexOf(d.live, p.id)
+	d.live = append(d.live[:i], d.live[i+1:]...)
 	if len(d.live) == 0 {
-		d.flushGrants()
-		return
+		d.turn = -1
 	}
-	if p.steps == 0 && d.startPending.Add(-1) > 0 {
-		// Finished before the first dispatch existed and other processes are
-		// still on their way to it: nothing to dispatch yet.
-		return
+	return p.steps > 0 && len(d.live) > 0
+}
+
+func (d *driver) result() Result {
+	res := Result{
+		Steps:     d.steps,
+		PerProc:   make([]int64, d.n),
+		WaitSteps: make([]int64, d.n),
+		Finished:  d.finished,
 	}
-	d.dispatch(-1)
+	for i := range d.slots {
+		res.PerProc[i] = d.slots[i].perProc
+		res.WaitSteps[i] = d.slots[i].waitSteps
+	}
+	return res
+}
+
+// dispatcher is the sequential dispatch policy: one grant per adversary
+// consult.
+type dispatcher struct{ driver }
+
+func (d *dispatcher) step(p *Proc) {
+	if !d.enter(p) {
+		d.settle(p.id, d.dispatch(p.id))
+	}
+}
+
+// dispatch consults the adversary and issues one grant, reporting who got the
+// token.
+func (d *dispatcher) dispatch(self int) verdict {
+	if d.overBudget() {
+		return d.halt(ErrStepBudget)
+	}
+	pick := d.consult()
+	if pick < 0 {
+		return haltedRun
+	}
+	return d.grant(pick, self)
 }
 
 // Run executes body once per process under the configured adversarial
@@ -416,6 +455,10 @@ func (d *dispatcher) done(p *Proc) {
 // budget is exhausted. It returns a Result together with ErrStepBudget or
 // ErrStalled when the run did not complete cleanly; the Result is valid in
 // all cases.
+//
+// Bodies run on coroutines driven from the calling goroutine (except under
+// Config.Rendezvous). A body that panics ends the run: Run releases the other
+// processes and re-panics the same value on the calling goroutine.
 func Run(cfg Config, body func(*Proc)) (Result, error) {
 	if cfg.N < 1 {
 		return Result{}, fmt.Errorf("sched: invalid N=%d", cfg.N)
@@ -428,53 +471,11 @@ func Run(cfg Config, body func(*Proc)) (Result, error) {
 		adv = NewRoundRobin()
 	}
 	if cfg.Commuting {
-		return runCommuting(cfg, adv, body)
+		c := newCommuter(cfg, adv)
+		return drive(c, &c.driver, cfg.Seed, body)
 	}
-	d := newDispatcher(cfg, adv)
-	procs := newProcs(cfg.N, cfg.Seed, d)
-	defer releaseProcs(procs)
-
-	var wg sync.WaitGroup
-	for i, p := range procs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(haltSignal); !ok {
-						panic(rec) // real bug in the algorithm body: propagate
-					}
-					// Halt teardown: no completion bookkeeping.
-				}
-			}()
-			body(p)
-			d.done(p)
-		}()
-		// Serialized startup: wait for this body to reach its first Step (or
-		// finish without one) before launching the next. Protocol preambles
-		// run user code — and may emit trace events — before the scheduler
-		// has any token to hand out; without this barrier their interleaving
-		// would be wall-clock goroutine order and traces would not be
-		// byte-deterministic. No grant is issued until every body has
-		// arrived, so grant sequences and step counts are unchanged.
-		<-d.slots[i].arrived
-	}
-	wg.Wait()
-	d.flushGrants()
-	if d.badPick != "" {
-		panic(d.badPick)
-	}
-	res := Result{
-		Steps:     d.steps,
-		PerProc:   make([]int64, cfg.N),
-		WaitSteps: make([]int64, cfg.N),
-		Finished:  d.finished,
-	}
-	for i := range d.slots {
-		res.PerProc[i] = d.slots[i].perProc
-		res.WaitSteps[i] = d.slots[i].waitSteps
-	}
-	return res, d.err
+	d := &dispatcher{newDriver(cfg, adv)}
+	return drive(d, &d.driver, cfg.Seed, body)
 }
 
 // event is how process goroutines talk to the rendezvous scheduler loop.
@@ -483,7 +484,7 @@ type event struct {
 	done bool // true: body returned (or halted); false: requesting a step
 }
 
-// runner implements gate for the legacy rendezvous engine.
+// runner implements gate for the rendezvous engine.
 type runner struct {
 	events  chan event
 	grants  []chan bool     // per-pid; false grant means halt
@@ -506,9 +507,10 @@ func (r *runner) step(p *Proc) {
 
 func (r *runner) now() int64 { return r.clock.Load() }
 
-// runRendezvous is the legacy engine: a dedicated scheduler goroutine grants
-// steps one event/grant rendezvous at a time. Kept behind Config.Rendezvous
-// only for the engine-equivalence tests.
+// runRendezvous is the reference engine: a dedicated scheduler goroutine
+// grants steps one event/grant rendezvous at a time, with no token, no
+// coalescing and no coroutines. The engine-equivalence tests compare the
+// coroutine engine against it.
 func runRendezvous(cfg Config, body func(*Proc)) (Result, error) {
 	adv := cfg.Adversary
 	if adv == nil {
@@ -555,7 +557,7 @@ func runRendezvous(cfg Config, body func(*Proc)) (Result, error) {
 			}
 			r.events <- event{pid: p.id, done: true}
 		}()
-		// Serialized startup, mirroring the dispatch engine: pre-Step
+		// Serialized startup, mirroring the coroutine engine: pre-Step
 		// preamble code (which may emit trace events) executes in pid order,
 		// keeping traces byte-deterministic. Grant order is unaffected — the
 		// loop below only consults the adversary once all procs are parked.

@@ -8,7 +8,7 @@ import (
 
 // Substrate is the execution seam every consensus run passes through: it
 // takes one body per process and runs all of them to completion, deciding
-// *how* the processes' atomic steps interleave. The direct-dispatch step
+// *how* the processes' atomic steps interleave. The coroutine step
 // scheduler (Simulated) serializes steps under a pluggable adversary and is
 // byte-deterministic per seed; the native backend (Native) runs each body as
 // a plain goroutine with no arbiter, so the Go runtime and the hardware's
