@@ -32,8 +32,11 @@ all: vet test build
 # drives the substrate conformance suite and the native preemption stress
 # sweep (GOMAXPROCS x randomized yields), so the lock-free register stack is
 # race-checked on every CI run — and the commuting engine's replay
-# equivalence suite, so the batched grant path is race-checked too.
+# equivalence suite, so the batched grant path is race-checked too. The
+# nested perfbench module (the repo benchmark) is type-checked by vet too: it
+# imports internal packages, and nothing else in the gate compiles it.
 ci: fmt-check vet build test
+	cd perfbench && $(GO) vet ./...
 	$(GO) test -short -race -timeout 900s ./...
 	$(GO) test -run XXX_none -bench 'BenchmarkSolveObservability|BenchmarkSolveDispatch|BenchmarkDispatch|BenchmarkCommuting|BenchmarkRendezvous' -benchtime 0.2s -timeout 600s . ./internal/sched/
 	for alg in bounded aspnes-herlihy local-coin strong-coin abrahamson anonymous; do \

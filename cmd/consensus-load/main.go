@@ -9,10 +9,11 @@
 //	consensus-load -alg strong-coin -n 8 -instances 50 -parallel 4
 //	consensus-load -matrix -json > BENCH_batch.json
 //	consensus-load -instances 5000 -listen 127.0.0.1:9090   # then scrape /metrics
-//	consensus-load -instances 500 -stragglers 3 -straggler-replay   # forensic bundles
+//	consensus-load -instances 500 -stragglers 3 -straggler-replay   # forensic bundles + blame
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -218,9 +219,10 @@ func run() int {
 
 // replayStragglers re-executes each straggler of a workload's digest into a
 // forensic bundle under dir (one subdirectory per straggler, keyed by the
-// workload and instance index). Native workloads are skipped with a notice —
-// hardware interleavings are not replayable — and replay failures count
-// toward the exit status without aborting the remaining stragglers.
+// workload and instance index), printing one line per straggler with the
+// replay's blame: where its steps went. Native workloads are skipped with a
+// notice — hardware interleavings are not replayable — and replay failures
+// count toward the exit status without aborting the remaining stragglers.
 func replayStragglers(base consensus.Config, r benchfmt.Report, dir string) int {
 	if len(r.Stragglers) == 0 {
 		return 0
@@ -238,10 +240,35 @@ func replayStragglers(base consensus.Config, r benchfmt.Report, dir string) int 
 			bad++
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "consensus-load: straggler %s: %d steps, decision %d, bundle %s\n",
-			name, b.ReplaySteps, b.ReplayDecision, b.Dir)
+		fmt.Fprintf(os.Stderr, "consensus-load: straggler %s: %.2fms, %d steps, decision %d, blame %s, bundle %s\n",
+			name, float64(s.LatencyNS)/1e6, b.ReplaySteps, b.ReplayDecision, blameLine(b), b.Dir)
 	}
 	return bad
+}
+
+// blameLine compresses a bundle's summary.json blame digest into one cell:
+// the dominant step classes as percentages of the replayed step total.
+func blameLine(b consensus.StragglerBundle) string {
+	data, err := os.ReadFile(b.SummaryPath)
+	if err != nil {
+		return "?"
+	}
+	sum, err := consensus.ParseStragglerSummary(data)
+	if err != nil {
+		return "?"
+	}
+	total := float64(b.ReplaySteps)
+	if total <= 0 {
+		return "-"
+	}
+	pct := func(key string) float64 {
+		// ParseStragglerSummary keeps numbers as json.Number (exact int64s).
+		n, _ := sum[key].(json.Number)
+		v, _ := n.Float64()
+		return 100 * v / total
+	}
+	return fmt.Sprintf("prod %.0f%% retry %.0f%% coin %.0f%%",
+		pct("steps_productive"), pct("steps_scan_retry"), pct("steps_coin_spin"))
 }
 
 // etaLabel renders an ETA estimate: "?" before any completion establishes a

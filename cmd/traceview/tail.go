@@ -13,9 +13,8 @@ import (
 // runTail renders the tail-latency view of a bench artifact (consensus-load
 // -json with -latency): per-workload wall-clock quantiles, the straggler
 // digests, and the environment stamps the numbers were measured under. It
-// also accepts a straggler bundle's summary.json (consensus-straggler /
-// consensus-load -straggler-replay) and renders the replay verdict and blame
-// digest instead.
+// also accepts a straggler bundle's summary.json (consensus-load
+// -straggler-replay) and renders the replay verdict and blame digest instead.
 func runTail(path string, format harness.Format) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -87,7 +86,7 @@ func tailTables(name string, m benchfmt.Matrix) []*harness.Table {
 		}
 	}
 	if rows > 0 {
-		st.Note("each digest replays deterministically: consensus-straggler, or consensus-load -stragglers -straggler-replay.")
+		st.Note("each digest replays deterministically, with a blame line per straggler: consensus-load -stragglers -straggler-replay.")
 		out = append(out, st)
 	}
 	return out

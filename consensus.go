@@ -401,7 +401,8 @@ type Config struct {
 
 // Result reports the outcome of a consensus run.
 type Result struct {
-	// Value is the agreed value (0 or 1), or -1 if no process decided.
+	// Value is the agreed value (0 or 1), or -1 if no process decided or
+	// the decisions disagree (Solve then also returns an error).
 	Value int
 	// Decided and Values report each process's individual outcome.
 	Decided []bool
@@ -481,7 +482,8 @@ var (
 
 // Solve runs one consensus instance to completion and returns the outcome.
 // The error is nil when every process decided; ErrStepBudget or ErrStalled
-// (with partial results) otherwise.
+// (with partial results) otherwise, or the consistency violation (with the
+// full result) if two processes decided differently.
 func Solve(cfg Config) (Result, error) {
 	if len(cfg.Inputs) == 0 {
 		return Result{}, errors.New("consensus: Config.Inputs must not be empty")
@@ -588,12 +590,10 @@ func Solve(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	value, err := out.Agreement()
-	if err != nil {
-		// A consistency violation would be a bug in the library, not a user
-		// error; surface it loudly.
-		return Result{}, err
-	}
+	// A consistency violation would be a bug in the library, not a user
+	// error: it is returned as the error, alongside the full result (steps,
+	// audit violations, flight dumps) needed to diagnose it.
+	value, agreeErr := out.Agreement()
 	snap := sink.Registry().Snapshot()
 	if profiler.Enabled() {
 		// Registry snapshots never carry matrices; the profiler contributes
@@ -627,6 +627,9 @@ func Solve(cfg Config) (Result, error) {
 	if meter.Enabled() {
 		u := meter.Usage()
 		res.Space = &u
+	}
+	if agreeErr != nil {
+		return res, agreeErr
 	}
 	return res, out.Err
 }

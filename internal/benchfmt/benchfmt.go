@@ -80,7 +80,7 @@ type Report struct {
 	Latency *tail.Summary `json:"latency,omitempty"`
 	// Stragglers digests the top-k slowest instances (seed, latency, steps,
 	// decision) when the workload ran with -stragglers. The seeds make each
-	// one replayable offline via cmd/consensus-straggler.
+	// one replayable offline via consensus-load -straggler-replay.
 	Stragglers []tail.Straggler `json:"stragglers,omitempty"`
 	// Env stamps the environment the workload ran in. Latency numbers are
 	// only comparable between matching environments; benchdiff warns (never

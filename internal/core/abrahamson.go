@@ -5,9 +5,7 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
-	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -25,98 +23,36 @@ import (
 //	unbounded space  Abrahamson [A88]        AHUnbounded [AH88]
 //	bounded space    ExpLocal [ADS89-style]  Bounded (this paper)
 type Abrahamson struct {
-	cfg Config
-	mem scan.Memory[UEntry]
-
-	rounds   []pad.Int64
-	flips    []pad.Int64
+	base
+	mem      scan.Memory[UEntry]
 	maxRound atomic.Int64
-
-	traceSink
 }
 
 // NewAbrahamson builds an instance. B and M are ignored (no shared coin).
 func NewAbrahamson(cfg Config) (*Abrahamson, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	factory := register.DirectFactory
-	if cfg.UseBloomArrows {
-		factory = register.BloomFactory
-	}
-	mem, err := scan.New[UEntry](cfg.MemKind, cfg.N, factory)
+	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Abrahamson{
-		cfg:    cfg,
-		mem:    mem,
-		rounds: make([]pad.Int64, cfg.N),
-		flips:  make([]pad.Int64, cfg.N),
-	}, nil
+	mem, err := newMemory[UEntry](b.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Abrahamson{base: b, mem: mem}, nil
 }
 
 // Name implements Protocol.
 func (a *Abrahamson) Name() string { return "abrahamson" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (a *Abrahamson) SetSink(s *obs.Sink) {
-	a.setSink(s)
-	if ss, ok := a.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (a *Abrahamson) SetMonitor(m *audit.Monitor) {
-	a.setMonitor(m)
-	if sm, ok := a.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(a.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (a *Abrahamson) SetProfiler(f *prof.Profiler) {
-	a.setProfiler(f)
-	if sp, ok := a.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (a *Abrahamson) SetNative(on bool) {
-	if sn, ok := a.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (a *Abrahamson) SetScanEpoch(on bool) {
-	if se, ok := a.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Entries carry only a
-// preference and an explicit round number, so the static layout is tiny —
-// the unbounded part is the round magnitude, measured online in inc.
-func (a *Abrahamson) SetSpace(m *space.Meter) {
-	a.setSpace(m)
-	if sp, ok := a.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
-	if m == nil {
-		return
-	}
-	n := int64(a.cfg.N)
-	m.AddWords(space.LayerCore, n*2) // pref + round
+// Install implements Protocol (see Bounded.Install). Entries carry only a
+// preference and an explicit round number, so the static space layout is
+// tiny — the unbounded part is the round magnitude, measured online in inc.
+func (a *Abrahamson) Install(in register.Instruments) {
+	a.install(in)
+	a.mem.Install(in)
+	in.Monitor.SetStateFn(a.captureState)
+	m := in.Space
+	m.AddWords(space.LayerCore, int64(a.cfg.N)*2) // pref + round
 	m.DeclareDomain(space.LayerCore, 3)
 	m.DeclareUnbounded(space.LayerCore) // explicit round numbers
 }
@@ -124,47 +60,27 @@ func (a *Abrahamson) SetSpace(m *space.Meter) {
 // captureState snapshots the published state for flight dumps (no coin
 // strips: this protocol's entries carry only preference and round).
 func (a *Abrahamson) captureState() audit.State {
-	pk, ok := a.mem.(interface{ PeekSlot(int) UEntry })
-	if !ok {
-		return audit.State{}
-	}
 	n := a.cfg.N
 	st := audit.State{Prefs: make([]int, n), Rounds: make([]int64, n)}
 	for i := 0; i < n; i++ {
-		e := pk.PeekSlot(i)
+		e := a.mem.PeekSlot(i)
 		st.Prefs[i] = int(e.Pref)
 		st.Rounds[i] = e.Round
 	}
 	return st
 }
 
-// Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. Call only between runs.
-func (a *Abrahamson) Reset() bool {
-	r, ok := a.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
-	for i := range a.rounds {
-		a.rounds[i].Store(0)
-		a.flips[i].Store(0)
-	}
+// Reset implements Protocol.
+func (a *Abrahamson) Reset() {
+	a.mem.Reset()
+	a.reset()
 	a.maxRound.Store(0)
-	a.traceSink = traceSink{}
-	return true
 }
 
 // Metrics implements Protocol.
 func (a *Abrahamson) Metrics() Metrics {
-	m := Metrics{
-		Rounds:    make([]int64, a.cfg.N),
-		CoinFlips: make([]int64, a.cfg.N),
-		MaxRound:  a.maxRound.Load(),
-	}
-	for i := 0; i < a.cfg.N; i++ {
-		m.Rounds[i] = a.rounds[i].Load()
-		m.CoinFlips[i] = a.flips[i].Load()
-	}
+	m := a.metrics()
+	m.MaxRound = a.maxRound.Load()
 	return m
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
@@ -41,21 +40,17 @@ import (
 // protocol holds n fixed registers of bounded width. The meters show exactly
 // this trade: tiny max-bits, unbounded peak-regs.
 type Anonymous struct {
-	cfg Config
+	// The base's per-pid counters, like the last adopted preferences below,
+	// are for metrics and flight dumps only — the protocol itself never
+	// consults them (anonymity is a property of the shared registers, not of
+	// the harness).
+	base
 
-	mu     sync.RWMutex
-	rnds   []anonRound
-	native bool
+	mu   sync.RWMutex
+	rnds []anonRound
 
-	// Per-pid counters and the last adopted preference, for metrics and
-	// flight dumps only — the protocol itself never consults them (anonymity
-	// is a property of the shared registers, not of the harness).
-	rounds   []pad.Int64
-	flips    []pad.Int64
 	prefs    []pad.Int64
 	maxRound atomic.Int64
-
-	traceSink
 }
 
 // anonRound is one round's register quartet: the conciliator register S and
@@ -74,16 +69,11 @@ func (rd anonRound) each(f func(*register.DirectMRMW[int8])) {
 // NewAnonymous builds an anonymous-setting instance. K, B and M are ignored
 // (no strip, no shared coin).
 func NewAnonymous(cfg Config) (*Anonymous, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(cfg)
+	if err != nil {
 		return nil, err
 	}
-	a := &Anonymous{
-		cfg:    cfg,
-		rounds: make([]pad.Int64, cfg.N),
-		flips:  make([]pad.Int64, cfg.N),
-		prefs:  make([]pad.Int64, cfg.N),
-	}
+	a := &Anonymous{base: b, prefs: make([]pad.Int64, b.cfg.N)}
 	for i := range a.prefs {
 		a.prefs[i].Store(int64(Bottom))
 	}
@@ -94,10 +84,10 @@ func NewAnonymous(cfg Config) (*Anonymous, error) {
 func (a *Anonymous) Name() string { return "anonymous" }
 
 // round returns round r's register quartet, creating it (and any missing
-// earlier rounds) on first touch. Creation installs the current sink, space
-// meter and storage mode, and meters the growth online: four registers and
-// four payload words per round — the register count is where this protocol
-// pays for anonymity.
+// earlier rounds) on first touch. Creation uses the configured storage mode,
+// installs the run's instruments, and meters the growth online: four
+// registers and four payload words per round — the register count is where
+// this protocol pays for anonymity.
 func (a *Anonymous) round(r int64) anonRound {
 	idx := int(r) - 1
 	a.mu.RLock()
@@ -108,17 +98,15 @@ func (a *Anonymous) round(r int64) anonRound {
 	}
 	a.mu.RUnlock()
 	a.mu.Lock()
+	in := register.Instruments{Sink: a.sink, Monitor: a.mon, Profiler: a.prof, Space: a.spc}
 	for idx >= len(a.rnds) {
 		rd := anonRound{
-			s:  register.NewDirectMRMW(Bottom, a.native),
-			a0: register.NewDirectMRMW(int8(0), a.native),
-			a1: register.NewDirectMRMW(int8(0), a.native),
-			d:  register.NewDirectMRMW(Bottom, a.native),
+			s:  register.NewDirectMRMW(Bottom, a.cfg.Native),
+			a0: register.NewDirectMRMW(int8(0), a.cfg.Native),
+			a1: register.NewDirectMRMW(int8(0), a.cfg.Native),
+			d:  register.NewDirectMRMW(Bottom, a.cfg.Native),
 		}
-		rd.each(func(reg *register.DirectMRMW[int8]) {
-			reg.SetSink(a.sink)
-			reg.SetSpace(a.spc, space.LayerRegister)
-		})
+		rd.each(func(reg *register.DirectMRMW[int8]) { reg.Install(in, space.LayerRegister) })
 		a.spc.AddWords(space.LayerCore, 4)
 		a.rnds = append(a.rnds, rd)
 	}
@@ -127,56 +115,16 @@ func (a *Anonymous) round(r int64) anonRound {
 	return rd
 }
 
-// SetSink installs the observability sink on the protocol and every register
-// created so far (later rounds pick it up at creation).
-func (a *Anonymous) SetSink(s *obs.Sink) {
-	a.setSink(s)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetSink(s) })
-	}
-}
-
-// SetMonitor installs the invariant monitor and the flight-recorder state
-// snapshot. There is no memory stack beneath to propagate to.
-func (a *Anonymous) SetMonitor(m *audit.Monitor) {
-	a.setMonitor(m)
-	m.SetStateFn(a.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol level (nil
-// detaches). There is no scan layer, so only the phase spans report.
-func (a *Anonymous) SetProfiler(f *prof.Profiler) { a.setProfiler(f) }
-
-// SetNative switches register storage to the substrate's mode; rounds
-// created later inherit it.
-func (a *Anonymous) SetNative(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.native = on
-	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetNative(on) })
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Almost everything is
-// metered online in round(): the static part is only the payload domain —
-// every register holds a value in {⊥,0,1}, two bits.
-func (a *Anonymous) SetSpace(m *space.Meter) {
-	a.setSpace(m)
-	a.mu.Lock()
-	for _, rd := range a.rnds {
-		rd.each(func(reg *register.DirectMRMW[int8]) { reg.SetSpace(m, space.LayerRegister) })
-	}
-	if m != nil {
-		m.AddWords(space.LayerCore, int64(len(a.rnds))*4)
-	}
-	a.mu.Unlock()
-	if m == nil {
-		return
-	}
-	m.DeclareDomain(space.LayerCore, 3) // every payload is in {⊥,0,1}
+// Install implements Protocol. Registers are created during the run, each
+// getting the instruments at creation, so there is no memory stack to
+// forward to; the protocol has no scan layer, so the profiler sees only the
+// phase spans. Almost all space is metered online in round(): the static
+// part is only the payload domain — every register holds a value in
+// {⊥,0,1}, two bits.
+func (a *Anonymous) Install(in register.Instruments) {
+	a.install(in)
+	in.Monitor.SetStateFn(a.captureState)
+	in.Space.DeclareDomain(space.LayerCore, 3) // every payload is in {⊥,0,1}
 }
 
 // captureState snapshots per-pid adopted preferences and round counts for
@@ -192,34 +140,23 @@ func (a *Anonymous) captureState() audit.State {
 	return st
 }
 
-// Reset restores the instance to its initial state for pooling, dropping all
-// lazily-created rounds (they are re-created, and re-metered, on the next
-// run). Call only between runs.
-func (a *Anonymous) Reset() bool {
+// Reset implements Protocol, dropping all lazily-created rounds (they are
+// re-created, and re-metered, on the next run).
+func (a *Anonymous) Reset() {
 	a.mu.Lock()
 	a.rnds = a.rnds[:0]
 	a.mu.Unlock()
-	for i := range a.rounds {
-		a.rounds[i].Store(0)
-		a.flips[i].Store(0)
+	a.reset()
+	for i := range a.prefs {
 		a.prefs[i].Store(int64(Bottom))
 	}
 	a.maxRound.Store(0)
-	a.traceSink = traceSink{}
-	return true
 }
 
 // Metrics implements Protocol.
 func (a *Anonymous) Metrics() Metrics {
-	m := Metrics{
-		Rounds:    make([]int64, a.cfg.N),
-		CoinFlips: make([]int64, a.cfg.N),
-		MaxRound:  a.maxRound.Load(),
-	}
-	for i := 0; i < a.cfg.N; i++ {
-		m.Rounds[i] = a.rounds[i].Load()
-		m.CoinFlips[i] = a.flips[i].Load()
-	}
+	m := a.metrics()
+	m.MaxRound = a.maxRound.Load()
 	return m
 }
 

@@ -1,23 +1,14 @@
 package core
 
-// Resettable is the between-run reset capability of a protocol instance: it
-// restores the zero-run state (memory stack, metrics, trace hooks) and reports
-// whether every layer beneath it supported the operation. A false return means
-// the instance must be rebuilt from scratch.
-type Resettable interface {
-	Reset() bool
-}
-
 // Arena is a worker-owned cache of protocol instances for batch execution:
 // one slot per protocol kind, reused via Reset when the next instance asks for
-// the same configuration. Building a protocol allocates the full register
-// fabric (O(n²) arrow registers for the Arrow memory), so a worker running
-// many same-shaped instances pays that cost once.
+// the same configuration (construction-time modes included). Building a
+// protocol allocates the full register fabric (O(n²) arrow registers for the
+// Arrow memory), so a worker running many same-shaped instances pays that
+// cost once. ExecuteProto installs every instrument on every run, so a reused
+// instance never keeps a previous run's observers.
 //
 // An Arena is NOT safe for concurrent use — each batch worker owns its own.
-// Reset clears protocol-level trace hooks but leaves previously installed
-// sinks on the register fabric; callers must install the current sink each run
-// (ExecuteProto does) or use one uniform sink per arena, as RunBatch does.
 type Arena struct {
 	slots map[Kind]*arenaSlot
 }
@@ -33,14 +24,12 @@ func NewArena() *Arena {
 }
 
 // Protocol returns an instance of the given kind ready to run once: the
-// cached one, reset, when the configuration matches exactly and the instance
-// supports resetting; a freshly built one (replacing the slot) otherwise.
-// cfg.N must be set by the caller.
+// cached one, reset, when the configuration matches exactly; a freshly built
+// one (replacing the slot) otherwise. cfg.N must be set by the caller.
 func (a *Arena) Protocol(kind Kind, cfg Config) (Protocol, error) {
 	if s, ok := a.slots[kind]; ok && s.cfg == cfg {
-		if r, ok := s.proto.(Resettable); ok && r.Reset() {
-			return s.proto, nil
-		}
+		s.proto.Reset()
+		return s.proto, nil
 	}
 	proto, err := New(kind, cfg)
 	if err != nil {

@@ -124,7 +124,7 @@ func RunBatchProgress(parallel int, sink *obs.Sink, prog *obs.BatchProgress, ins
 		}
 		cfg := inst.Cfg
 		cfg.N = len(inst.Inputs)
-		proto, err := arena.Protocol(inst.Kind, cfg)
+		proto, err := arena.Protocol(inst.Kind, cfg.forRun(inst.Substrate, inst.Commuting))
 		if err != nil {
 			out[k] = BatchOutcome{Err: err}
 			return

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/dsrepro/consensus/internal/obs/audit"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
 )
@@ -189,5 +190,60 @@ func TestArenaAcquireAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warm arena acquire allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestPooledRunDropsPreviousInstruments is the stale-instrument regression:
+// in one arena with a nil batch sink, an unaudited instance that follows an
+// audited one of the same shape must not write its events into the first
+// monitor's flight ring. ExecuteProto installs every instrument on every run,
+// nil ones included, down to the registers.
+func TestPooledRunDropsPreviousInstruments(t *testing.T) {
+	cases := []struct {
+		name string
+		kind Kind
+		cfg  Config
+	}{
+		{"bounded", KindBounded, Config{}},
+		{"bounded-bloom", KindBounded, Config{UseBloomArrows: true}},
+		{"bounded-waitfree", KindBounded, Config{MemKind: scan.KindWaitFree}},
+		{"ah-unbounded-seqsnap", KindAHUnbounded, Config{MemKind: scan.KindSeqSnap}},
+		{"exp-local", KindExpLocal, Config{}},
+		{"strong-coin-collect", KindStrongCoin, Config{MemKind: scan.KindCollect}},
+		{"abrahamson", KindAbrahamson, Config{}},
+		{"anonymous", KindAnonymous, Config{}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			arena := NewArena()
+			run := func(inst Instance) {
+				cfg := inst.Cfg
+				cfg.N = len(inst.Inputs)
+				proto, err := arena.Protocol(inst.Kind, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ExecuteProto(proto, ExecConfig{
+					Inputs:    inst.Inputs,
+					Seed:      inst.Seed,
+					Adversary: inst.Adversary,
+					MaxSteps:  inst.MaxSteps,
+					Monitor:   inst.Monitor,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			insts := batchInstances(c.kind, c.cfg, 2, 11)
+			mon := audit.New(audit.Options{})
+			insts[0].Monitor = mon
+			run(insts[0])
+			ring := mon.FlightRecorder()
+			before, dropped := ring.Events(), ring.Dropped()
+			run(insts[1])
+			if after := ring.Events(); ring.Dropped() != dropped || !reflect.DeepEqual(before, after) {
+				t.Fatalf("the unaudited run wrote into the previous monitor's flight ring: tail %v -> %v",
+					before[len(before)-1], after[len(after)-1])
+			}
+		})
 	}
 }

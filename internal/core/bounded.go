@@ -6,9 +6,7 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
-	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -39,6 +37,16 @@ type Config struct {
 	// one immediately decides the same value (safe because a decision is
 	// final — Lemma 6.6 makes every future decision equal to it).
 	FastDecide bool
+	// Native builds the register stack in lock-free sync/atomic storage for
+	// a native substrate (sched.NewNative). Execute and RunBatch set it from
+	// the substrate; ExecuteProto rejects an instance run on the other kind.
+	Native bool
+	// ScanEpoch builds the Arrow memory with the dirty-bit epoch retry path
+	// (scan.Arrow.SetEpoch). Commuting dispatch requires it, and Execute and
+	// RunBatch set it for commuting runs; setting it under sequential
+	// dispatch replays a commuting run's schedule with the same process
+	// bodies (the retry path is body behavior, not engine behavior).
+	ScanEpoch bool
 }
 
 // withDefaults fills in zero fields.
@@ -86,20 +94,15 @@ type Metrics struct {
 // Bounded is the paper's §5 consensus protocol with bounded memory and
 // polynomial expected time.
 type Bounded struct {
-	cfg    Config
-	params walk.Params
-	mem    scan.Memory[Entry]
-
-	rounds     []pad.Int64
-	flips      []pad.Int64
+	base
+	params     walk.Params
+	mem        scan.Memory[Entry]
 	maxAbsCoin atomic.Int64
 
 	// scratch[i] is pid i's decode/coin working storage, touched only by the
 	// goroutine running pid i. Views and entries published to scannable memory
 	// are never built from it.
 	scratch []bscratch
-
-	traceSink
 
 	// OnScan, if non-nil, is invoked after every scan with the scanning
 	// process and its (normalized) view, in scan-serialization order. It is
@@ -111,10 +114,11 @@ type Bounded struct {
 
 // NewBounded builds a bounded-protocol instance.
 func NewBounded(cfg Config) (*Bounded, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(cfg)
+	if err != nil {
 		return nil, err
 	}
+	cfg = b.cfg
 	params := walk.Params{N: cfg.N, B: cfg.B, M: cfg.M}
 	if params.M == 0 {
 		params.M = params.DefaultM()
@@ -122,22 +126,11 @@ func NewBounded(cfg Config) (*Bounded, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	factory := register.DirectFactory
-	if cfg.UseBloomArrows {
-		factory = register.BloomFactory
-	}
-	mem, err := scan.New[Entry](cfg.MemKind, cfg.N, factory)
+	mem, err := newMemory[Entry](cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Bounded{
-		cfg:     cfg,
-		params:  params,
-		mem:     mem,
-		rounds:  make([]pad.Int64, cfg.N),
-		flips:   make([]pad.Int64, cfg.N),
-		scratch: newScratch(cfg.N, cfg.K, true),
-	}, nil
+	return &Bounded{base: b, params: params, mem: mem, scratch: newScratch(cfg.N, cfg.K, true)}, nil
 }
 
 // bscratch is one process's reusable decode/coin storage: separate graphs for
@@ -181,94 +174,30 @@ func (b *Bounded) decodeViewAt(i int, view []Entry) (*strip.Graph, error) {
 	return g, nil
 }
 
-// Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. Trace hooks are cleared;
-// callers reinstall sinks per run. Call only between runs.
-func (b *Bounded) Reset() bool {
-	r, ok := b.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
-	for i := range b.rounds {
-		b.rounds[i].Store(0)
-		b.flips[i].Store(0)
-	}
+// Reset implements Protocol: the memory stack, the counters and the OnScan
+// hook return to their initial state.
+func (b *Bounded) Reset() {
+	b.mem.Reset()
+	b.reset()
 	b.maxAbsCoin.Store(0)
-	b.traceSink = traceSink{}
 	b.OnScan = nil
-	return true
 }
 
 // Name implements Protocol.
 func (b *Bounded) Name() string { return "bounded" }
 
-// Config returns the effective configuration.
-func (b *Bounded) Config() Config { return b.cfg }
-
-// SetSink installs the observability sink on the protocol and the whole
-// memory stack beneath it (scannable memory down to individual registers).
-func (b *Bounded) SetSink(s *obs.Sink) {
-	b.setSink(s)
-	if ss, ok := b.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol, propagates it
-// down the memory stack (scan handshake and register probes), and provides
-// the flight-recorder state snapshot. A nil m detaches everything.
-func (b *Bounded) SetMonitor(m *audit.Monitor) {
-	b.setMonitor(m)
-	if sm, ok := b.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(b.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and propagates it
-// down the memory stack (write/scan blame hooks). A nil f detaches
-// everything — ExecuteProto always calls it, so pooled instances never
-// carry a stale profiler.
-func (b *Bounded) SetProfiler(f *prof.Profiler) {
-	b.setProfiler(f)
-	if sp, ok := b.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see register.NativeSetter). ExecuteProto always calls it, so pooled
-// instances never carry a stale mode across substrates.
-func (b *Bounded) SetNative(on bool) {
-	if sn, ok := b.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// scan.Arrow.SetEpoch). ExecuteProto enables it together with commuting
-// dispatch and always calls it, so pooled instances never carry a stale mode.
-func (b *Bounded) SetScanEpoch(on bool) {
-	if se, ok := b.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter on the protocol and the memory stack
-// beneath it (nil detaches — ExecuteProto always calls it), and declares the
-// protocol's static layout: per process the entry carries pref +
-// current_coin pointer + decided flag (core), K+1 cyclic coin counters
-// clamped to ±(M+1) (walk), and n mod-3K edge counters (strip). All bounded
-// — this is the protocol whose meters must never move past their declared
-// domains.
-func (b *Bounded) SetSpace(m *space.Meter) {
-	b.setSpace(m)
-	if sp, ok := b.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
-	if m == nil {
-		return
-	}
+// Install implements Protocol: the instruments go on the protocol and the
+// whole memory stack beneath it, the monitor gets the flight-recorder state
+// snapshot, and the space meter gets the protocol's static layout: per
+// process the entry carries pref + current_coin pointer + decided flag
+// (core), K+1 cyclic coin counters clamped to ±(M+1) (walk), and n mod-3K
+// edge counters (strip). All bounded — this is the protocol whose meters must
+// never move past their declared domains.
+func (b *Bounded) Install(in register.Instruments) {
+	b.install(in)
+	b.mem.Install(in)
+	in.Monitor.SetStateFn(b.captureState)
+	m := in.Space
 	n, k := int64(b.cfg.N), int64(b.cfg.K)
 	m.AddWords(space.LayerCore, n*3)
 	m.AddWords(space.LayerWalk, n*(k+1))
@@ -283,10 +212,6 @@ func (b *Bounded) SetSpace(m *space.Meter) {
 // preferences, round counts, the current coin counter and edge row of every
 // process, via the memory's no-step Peek path.
 func (b *Bounded) captureState() audit.State {
-	pk, ok := b.mem.(interface{ PeekSlot(j int) Entry })
-	if !ok {
-		return audit.State{}
-	}
 	n, k := b.cfg.N, b.cfg.K
 	st := audit.State{
 		Prefs:  make([]int, n),
@@ -295,7 +220,7 @@ func (b *Bounded) captureState() audit.State {
 		Edges:  make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
-		e := pk.PeekSlot(i)
+		e := b.mem.PeekSlot(i)
 		if e.Coin == nil {
 			e = NewEntry(n, k)
 		}
@@ -312,15 +237,8 @@ func (b *Bounded) CoinParams() walk.Params { return b.params }
 
 // Metrics implements Protocol. Call only after the run completes.
 func (b *Bounded) Metrics() Metrics {
-	m := Metrics{
-		Rounds:     make([]int64, b.cfg.N),
-		CoinFlips:  make([]int64, b.cfg.N),
-		MaxAbsCoin: b.maxAbsCoin.Load(),
-	}
-	for i := 0; i < b.cfg.N; i++ {
-		m.Rounds[i] = b.rounds[i].Load()
-		m.CoinFlips[i] = b.flips[i].Load()
-	}
+	m := b.metrics()
+	m.MaxAbsCoin = b.maxAbsCoin.Load()
 	return m
 }
 

@@ -341,3 +341,30 @@ func TestOutcomeAgreementDetectsSplit(t *testing.T) {
 		t.Fatalf("Agreement = %d,%v", v, err)
 	}
 }
+
+// TestExecuteProtoRejectsMismatchedModes pins that an instance's
+// construction-time modes must fit the run it is given: ExecuteProto refuses
+// the run instead of switching the instance's storage or scan-retry mode.
+func TestExecuteProtoRejectsMismatchedModes(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		ec   ExecConfig
+	}{
+		{"native-built-on-simulated", Config{N: 2, Native: true}, ExecConfig{}},
+		{"simulated-built-on-native", Config{N: 2}, ExecConfig{Substrate: sched.NewNative(sched.NativeOptions{})}},
+		{"commuting-without-epoch", Config{N: 2}, ExecConfig{Commuting: true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			proto, err := NewBounded(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.ec.Inputs = []int{0, 1}
+			if _, err := ExecuteProto(proto, c.ec); err == nil {
+				t.Fatal("ExecuteProto ran an instance built for another mode")
+			}
+		})
+	}
+}

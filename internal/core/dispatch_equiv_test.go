@@ -64,13 +64,12 @@ func execReplayTraced(t *testing.T, kind Kind, seed int64, grants []stepRec) (Ou
 		i++
 		return pick
 	})
-	out, err := Execute(kind, Config{}, ExecConfig{
+	out, err := Execute(kind, Config{ScanEpoch: true}, ExecConfig{
 		Inputs:    []int{0, 1, 1, 0},
 		Seed:      seed,
 		Adversary: replay,
 		MaxSteps:  5_000_000,
 		Sink:      obs.NewSink(rec),
-		ScanEpoch: true,
 	})
 	if err != nil {
 		t.Fatalf("Execute(%v, seed=%d, replay): %v", kind, seed, err)

@@ -8,14 +8,28 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/audit"
 	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
+	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/sched"
 )
 
 // Protocol is a consensus protocol instance ready to run once: per-process
-// bodies that each return a decision, plus post-run metrics.
+// bodies that each return a decision, plus post-run metrics. Instances are
+// built for one storage mode and scan-retry mode (Config.Native,
+// Config.ScanEpoch) and can be reused across runs through Reset.
 type Protocol interface {
 	// Name identifies the protocol in tables and logs.
 	Name() string
+	// Config returns the effective configuration the instance was built
+	// with.
+	Config() Config
+	// Install installs the run's instruments on the protocol and the whole
+	// stack beneath it; nil fields detach. SetTracer installs the legacy
+	// tracer (nil detaches). ExecuteProto calls both before every run.
+	Install(in register.Instruments)
+	SetTracer(t Tracer)
+	// Reset restores the initial state (memory stack, metrics, hooks) so
+	// the instance can run again. Call only between runs.
+	Reset()
 	// Run executes one process's side of the protocol and returns its
 	// decision. It must be called exactly once per pid, concurrently for all
 	// pids of one instance.
@@ -155,22 +169,16 @@ type ExecConfig struct {
 	// sched.Config.Commuting): the adversary's pick seeds a batch of steps
 	// with pairwise-disjoint register footprints, granted together between
 	// consults. Every schedule it produces is a legal sequential grant order,
-	// so safety results transfer unchanged. Enabling it also switches the scan
-	// layer to the dirty-bit epoch retry path (Arrow.SetEpoch), which is where
-	// the step savings compound. Incompatible with native substrates (their
-	// scheduling is the hardware's, not the adversary's).
+	// so safety results transfer unchanged. It runs the scan layer's
+	// dirty-bit epoch retry path, which is where the step savings compound:
+	// the protocol must be built with Config.ScanEpoch (Execute and RunBatch
+	// do so). Incompatible with native substrates (their scheduling is the
+	// hardware's, not the adversary's).
 	Commuting bool
 
 	// CommuteQuantum caps each batch member's run extension under commuting
 	// dispatch (0 = the sched default). See sched.Config.CommuteQuantum.
 	CommuteQuantum int
-
-	// ScanEpoch forces the scan layer's dirty-bit epoch retry path even under
-	// sequential dispatch (Commuting implies it). The dispatch-equivalence
-	// suite uses it to replay a commuting run's recorded schedule through the
-	// sequential engine with the process bodies unchanged — the retry path is
-	// body behavior, not engine behavior, so it must match across the pair.
-	ScanEpoch bool
 
 	// OnStep, if non-nil, is forwarded to sched.Config.OnStep: it observes
 	// every scheduler grant as (pid, step) in grant order. The equivalence
@@ -181,9 +189,10 @@ type ExecConfig struct {
 	// Substrate selects the execution backend (see sched.Substrate). Nil
 	// runs the deterministic simulated step scheduler — the default and the
 	// only mode with byte-reproducible traces. A substrate with
-	// NativeRegisters() switches the whole register stack to its lock-free
-	// sync/atomic storage before the run; determinism is forfeited, so
-	// correctness is checked online by the Monitor instead of by replay.
+	// NativeRegisters() needs a protocol built with Config.Native (lock-free
+	// sync/atomic register storage; Execute and RunBatch build one);
+	// determinism is forfeited, so correctness is checked online by the
+	// Monitor instead of by replay.
 	// The Profiler is incompatible with native substrates (its hooks assume
 	// serialized steps) and is rejected.
 	Substrate sched.Substrate
@@ -229,38 +238,46 @@ func validateInputs(inputs []int) error {
 	return nil
 }
 
-// Execute builds a protocol of the given kind and runs it once under the
-// adversarial scheduler, collecting decisions and metrics.
+// forRun returns cfg with the construction-time modes a run under sub and
+// the given dispatch needs: native storage for a native substrate, and the
+// epoch scan-retry path for commuting dispatch (or when cfg asks for it) on
+// the simulated one.
+func (c Config) forRun(sub sched.Substrate, commuting bool) Config {
+	c.Native = sub != nil && sub.NativeRegisters()
+	c.ScanEpoch = (c.ScanEpoch || commuting) && !c.Native
+	return c
+}
+
+// Execute builds a protocol of the given kind, in the modes ec's substrate
+// and dispatch need, and runs it once under the adversarial scheduler,
+// collecting decisions and metrics.
 func Execute(kind Kind, cfg Config, ec ExecConfig) (Outcome, error) {
 	if err := validateInputs(ec.Inputs); err != nil {
 		return Outcome{}, err
 	}
 	cfg.N = len(ec.Inputs)
-	proto, err := New(kind, cfg)
+	proto, err := New(kind, cfg.forRun(ec.Substrate, ec.Commuting))
 	if err != nil {
 		return Outcome{}, err
 	}
 	return ExecuteProto(proto, ec)
 }
 
-// ExecuteProto runs an already-constructed protocol instance once.
+// ExecuteProto runs an already-constructed protocol instance once. The
+// instance's built modes must fit the run: native storage exactly on a
+// native substrate, and the epoch scan-retry path under commuting dispatch.
 func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 	native := ec.Substrate != nil && ec.Substrate.NativeRegisters()
-	if native && ec.Profiler.Enabled() {
+	built := proto.Config()
+	switch {
+	case native && ec.Profiler.Enabled():
 		return Outcome{}, errors.New("core: the step profiler requires the simulated substrate (its hooks assume serialized steps)")
-	}
-	if native && ec.Commuting {
+	case native && ec.Commuting:
 		return Outcome{}, errors.New("core: commuting dispatch requires the simulated substrate (native runs schedule on the hardware, not the adversary)")
-	}
-	// Always set the storage mode — a pooled instance may have last run on a
-	// different substrate.
-	if s, ok := proto.(interface{ SetNative(bool) }); ok {
-		s.SetNative(native)
-	}
-	// Always set the scan-retry mode too — a pooled instance may have last run
-	// under the other dispatch engine.
-	if s, ok := proto.(interface{ SetScanEpoch(bool) }); ok {
-		s.SetScanEpoch((ec.Commuting || ec.ScanEpoch) && !native)
+	case built.Native != native:
+		return Outcome{}, fmt.Errorf("core: %s instance built with Native=%v cannot run on a substrate with native registers=%v", proto.Name(), built.Native, native)
+	case ec.Commuting && !built.ScanEpoch:
+		return Outcome{}, fmt.Errorf("core: commuting dispatch needs a %s instance built with ScanEpoch", proto.Name())
 	}
 	// Native runs are not step-serialized: register-ops reach the monitor out
 	// of linearization order (phantom regularity violations) and hardware
@@ -268,11 +285,6 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 	// sequential-game graph invariants cover. The monitor disables exactly
 	// those two probe families; value-based probes stay armed.
 	ec.Monitor.SetNonSerialized(native)
-	if ec.Tracer != nil {
-		if s, ok := proto.(interface{ SetTracer(Tracer) }); ok {
-			s.SetTracer(ec.Tracer)
-		}
-	}
 	sink := ec.Sink
 	if ec.Monitor.Enabled() {
 		// Tee the monitor's bounded flight ring into the run's event stream so
@@ -286,25 +298,10 @@ func ExecuteProto(proto Protocol, ec ExecConfig) (Outcome, error) {
 		}
 		ec.Monitor.BindSink(sink)
 	}
-	if sink != nil {
-		if s, ok := proto.(interface{ SetSink(*obs.Sink) }); ok {
-			s.SetSink(sink)
-		}
-	}
-	// Always install the monitor — a nil Monitor must clear any stale one a
-	// pooled instance might still carry from a previous audited run.
-	if s, ok := proto.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		s.SetMonitor(ec.Monitor)
-	}
-	// Same for the profiler: always install, so pooled instances never carry
-	// a stale one.
-	if s, ok := proto.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		s.SetProfiler(ec.Profiler)
-	}
-	// And the space meter: always install (nil detaches).
-	if s, ok := proto.(interface{ SetSpace(*space.Meter) }); ok {
-		s.SetSpace(ec.Space)
-	}
+	// Every field is installed, nil ones included, so a pooled instance never
+	// keeps an observer of a previous run.
+	proto.SetTracer(ec.Tracer)
+	proto.Install(register.Instruments{Sink: sink, Monitor: ec.Monitor, Profiler: ec.Profiler, Space: ec.Space})
 	n := len(ec.Inputs)
 	out := Outcome{
 		Decided: make([]bool, n),

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
-	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -22,16 +20,11 @@ import (
 // shared coin exists to fix. It is an exact ablation: same substrate, same
 // decide rule, only the randomness source differs.
 type ExpLocal struct {
-	cfg Config
+	base
 	mem scan.Memory[Entry]
-
-	rounds []pad.Int64
-	flips  []pad.Int64
 
 	// scratch[i] is pid i's decode working storage (owner-goroutine only).
 	scratch []bscratch
-
-	traceSink
 
 	// Flip chooses the preference adopted on a leader conflict. It defaults
 	// to a fair local coin. Tests override it with a deterministic rule to
@@ -44,26 +37,15 @@ type ExpLocal struct {
 // NewExpLocal builds an exponential-baseline instance. B and M are ignored
 // (no shared coin).
 func NewExpLocal(cfg Config) (*ExpLocal, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	factory := register.DirectFactory
-	if cfg.UseBloomArrows {
-		factory = register.BloomFactory
-	}
-	mem, err := scan.New[Entry](cfg.MemKind, cfg.N, factory)
+	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ExpLocal{
-		cfg:     cfg,
-		mem:     mem,
-		rounds:  make([]pad.Int64, cfg.N),
-		flips:   make([]pad.Int64, cfg.N),
-		scratch: newScratch(cfg.N, cfg.K, false),
-		Flip:    defaultLocalFlip,
-	}, nil
+	mem, err := newMemory[Entry](b.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &ExpLocal{base: b, mem: mem, scratch: newScratch(b.cfg.N, b.cfg.K, false), Flip: defaultLocalFlip}, nil
 }
 
 // defaultLocalFlip is the fair local coin ExpLocal ships with (and Reset
@@ -82,82 +64,25 @@ func (l *ExpLocal) decodeViewAt(i int, view []Entry) (*strip.Graph, error) {
 	return g, nil
 }
 
-// Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. The Flip hook reverts to
-// the fair local coin. Call only between runs.
-func (l *ExpLocal) Reset() bool {
-	r, ok := l.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
-	for i := range l.rounds {
-		l.rounds[i].Store(0)
-		l.flips[i].Store(0)
-	}
-	l.traceSink = traceSink{}
+// Reset implements Protocol. The Flip hook reverts to the fair local coin.
+func (l *ExpLocal) Reset() {
+	l.mem.Reset()
+	l.reset()
 	l.Flip = defaultLocalFlip
-	return true
 }
 
 // Name implements Protocol.
 func (l *ExpLocal) Name() string { return "exp-local" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (l *ExpLocal) SetSink(s *obs.Sink) {
-	l.setSink(s)
-	if ss, ok := l.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (l *ExpLocal) SetMonitor(m *audit.Monitor) {
-	l.setMonitor(m)
-	if sm, ok := l.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(l.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (l *ExpLocal) SetProfiler(f *prof.Profiler) {
-	l.setProfiler(f)
-	if sp, ok := l.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (l *ExpLocal) SetNative(on bool) {
-	if sn, ok := l.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (l *ExpLocal) SetScanEpoch(on bool) {
-	if se, ok := l.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). The layout is identical
-// to the bounded protocol's — the baseline keeps the coin slots in its
-// entries, they just stay zero — so the frontier tables show it matching
+// Install implements Protocol (see Bounded.Install). The space layout is
+// identical to the bounded protocol's — the baseline keeps the coin slots in
+// its entries, they just stay zero — so the frontier tables show it matching
 // Bounded on space while losing on expected time.
-func (l *ExpLocal) SetSpace(m *space.Meter) {
-	l.setSpace(m)
-	if sp, ok := l.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
-	if m == nil {
-		return
-	}
+func (l *ExpLocal) Install(in register.Instruments) {
+	l.install(in)
+	l.mem.Install(in)
+	in.Monitor.SetStateFn(l.captureState)
+	m := in.Space
 	n, k := int64(l.cfg.N), int64(l.cfg.K)
 	m.AddWords(space.LayerCore, n*3)       // pref + pointer + decided flag
 	m.AddWords(space.LayerWalk, n*(k+1))   // coin slots (present, always zero)
@@ -171,10 +96,6 @@ func (l *ExpLocal) SetSpace(m *space.Meter) {
 // captureState snapshots the published state for flight dumps (no coin
 // counters: this baseline's coin slots stay zero).
 func (l *ExpLocal) captureState() audit.State {
-	pk, ok := l.mem.(interface{ PeekSlot(j int) Entry })
-	if !ok {
-		return audit.State{}
-	}
 	n, k := l.cfg.N, l.cfg.K
 	st := audit.State{
 		Prefs:  make([]int, n),
@@ -182,7 +103,7 @@ func (l *ExpLocal) captureState() audit.State {
 		Edges:  make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
-		e := pk.PeekSlot(i)
+		e := l.mem.PeekSlot(i)
 		if e.Coin == nil {
 			e = NewEntry(n, k)
 		}
@@ -194,14 +115,7 @@ func (l *ExpLocal) captureState() audit.State {
 }
 
 // Metrics implements Protocol.
-func (l *ExpLocal) Metrics() Metrics {
-	m := Metrics{Rounds: make([]int64, l.cfg.N), CoinFlips: make([]int64, l.cfg.N)}
-	for i := 0; i < l.cfg.N; i++ {
-		m.Rounds[i] = l.rounds[i].Load()
-		m.CoinFlips[i] = l.flips[i].Load()
-	}
-	return m
-}
+func (l *ExpLocal) Metrics() Metrics { return l.metrics() }
 
 // inc advances the rounds strip exactly as the bounded protocol does (the
 // coin slots exist but stay zero).

@@ -6,9 +6,7 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
-	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -71,103 +69,39 @@ func (o *Oracle) Reset() {
 // coin. Because flippers of one round always agree, conflicts die in O(1)
 // expected rounds regardless of the adversary.
 type StrongCoin struct {
-	cfg    Config
-	mem    scan.Memory[UEntry]
-	oracle *Oracle
-
-	rounds   []pad.Int64
-	flips    []pad.Int64
+	base
+	mem      scan.Memory[UEntry]
+	oracle   *Oracle
 	maxRound atomic.Int64
-
-	traceSink
 }
 
 // NewStrongCoin builds a strong-coin baseline instance. B and M are ignored.
 func NewStrongCoin(cfg Config) (*StrongCoin, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	factory := register.DirectFactory
-	if cfg.UseBloomArrows {
-		factory = register.BloomFactory
-	}
-	mem, err := scan.New[UEntry](cfg.MemKind, cfg.N, factory)
+	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &StrongCoin{
-		cfg:    cfg,
-		mem:    mem,
-		oracle: NewOracle(),
-		rounds: make([]pad.Int64, cfg.N),
-		flips:  make([]pad.Int64, cfg.N),
-	}, nil
+	mem, err := newMemory[UEntry](b.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &StrongCoin{base: b, mem: mem, oracle: NewOracle()}, nil
 }
 
 // Name implements Protocol.
 func (s *StrongCoin) Name() string { return "strong-coin" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (s *StrongCoin) SetSink(sk *obs.Sink) {
-	s.setSink(sk)
-	if ss, ok := s.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(sk)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot.
-func (s *StrongCoin) SetMonitor(m *audit.Monitor) {
-	s.setMonitor(m)
-	if sm, ok := s.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(s.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (s *StrongCoin) SetProfiler(f *prof.Profiler) {
-	s.setProfiler(f)
-	if sp, ok := s.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative). The oracle coin needs no switch: it is
-// mutex-guarded and correct under real concurrency.
-func (s *StrongCoin) SetNative(on bool) {
-	if sn, ok := s.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (s *StrongCoin) SetScanEpoch(on bool) {
-	if se, ok := s.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). Entries carry only a
+// Install implements Protocol (see Bounded.Install). Entries carry only a
 // preference and an explicit round number; the oracle plays the shared
 // coin's role, so its one-bit-per-flipped-round store is metered online on
 // the walk layer (see Oracle.Flip).
-func (s *StrongCoin) SetSpace(m *space.Meter) {
-	s.setSpace(m)
-	if sp, ok := s.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
+func (s *StrongCoin) Install(in register.Instruments) {
+	s.install(in)
+	s.mem.Install(in)
+	in.Monitor.SetStateFn(s.captureState)
+	m := in.Space
 	s.oracle.spc = m
-	if m == nil {
-		return
-	}
-	n := int64(s.cfg.N)
-	m.AddWords(space.LayerCore, n*2) // pref + round
+	m.AddWords(space.LayerCore, int64(s.cfg.N)*2) // pref + round
 	m.DeclareDomain(space.LayerCore, 3)
 	m.DeclareUnbounded(space.LayerCore) // explicit round numbers
 	m.DeclareDomain(space.LayerWalk, 2) // oracle bits are 1 bit wide...
@@ -176,48 +110,28 @@ func (s *StrongCoin) SetSpace(m *space.Meter) {
 
 // captureState snapshots the published state for flight dumps.
 func (s *StrongCoin) captureState() audit.State {
-	pk, ok := s.mem.(interface{ PeekSlot(int) UEntry })
-	if !ok {
-		return audit.State{}
-	}
 	n := s.cfg.N
 	st := audit.State{Prefs: make([]int, n), Rounds: make([]int64, n)}
 	for i := 0; i < n; i++ {
-		e := pk.PeekSlot(i)
+		e := s.mem.PeekSlot(i)
 		st.Prefs[i] = int(e.Pref)
 		st.Rounds[i] = e.Round
 	}
 	return st
 }
 
-// Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. Call only between runs.
-func (s *StrongCoin) Reset() bool {
-	r, ok := s.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
+// Reset implements Protocol.
+func (s *StrongCoin) Reset() {
+	s.mem.Reset()
 	s.oracle.Reset()
-	for i := range s.rounds {
-		s.rounds[i].Store(0)
-		s.flips[i].Store(0)
-	}
+	s.reset()
 	s.maxRound.Store(0)
-	s.traceSink = traceSink{}
-	return true
 }
 
 // Metrics implements Protocol.
 func (s *StrongCoin) Metrics() Metrics {
-	m := Metrics{
-		Rounds:    make([]int64, s.cfg.N),
-		CoinFlips: make([]int64, s.cfg.N),
-		MaxRound:  s.maxRound.Load(),
-	}
-	for i := 0; i < s.cfg.N; i++ {
-		m.Rounds[i] = s.rounds[i].Load()
-		m.CoinFlips[i] = s.flips[i].Load()
-	}
+	m := s.metrics()
+	m.MaxRound = s.maxRound.Load()
 	return m
 }
 

@@ -7,6 +7,9 @@ import (
 	"github.com/dsrepro/consensus/internal/obs/audit"
 	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
+	"github.com/dsrepro/consensus/internal/pad"
+	"github.com/dsrepro/consensus/internal/register"
+	"github.com/dsrepro/consensus/internal/scan"
 )
 
 // EventKind classifies protocol trace events.
@@ -49,7 +52,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one protocol-level occurrence during a run. It predates the
-// unified obs.Event and is kept as the protocol-facing trace type; traceSink
+// unified obs.Event and is kept as the protocol-facing trace type; base
 // mirrors every emission onto the obs sink as a core-layer obs.Event.
 type Event struct {
 	// Step is the global scheduler step at emission.
@@ -122,11 +125,16 @@ func FromObs(e obs.Event) (Event, bool) {
 	return Event{Step: e.Step, Pid: e.Pid, Kind: k, Round: e.Round, Detail: e.Detail}, true
 }
 
-// traceSink embeds the protocol-side trace plumbing: an optional legacy
-// tracer, the unified observability sink, and the invariant monitor. Every
-// protocol embeds it; protocol Resets clear it wholesale (traceSink{}), so a
-// pooled instance never carries a stale tracer, sink or monitor.
-type traceSink struct {
+// base is the state every protocol embeds: the effective configuration,
+// per-pid round and coin-flip counters, the optional legacy tracer, and the
+// run's instruments (sink, invariant monitor, profiler, space meter).
+// ExecuteProto installs the instruments and the tracer on every run, nil
+// fields included, so a pooled instance never carries stale ones.
+type base struct {
+	cfg    Config
+	rounds []pad.Int64
+	flips  []pad.Int64
+
 	tracer Tracer
 	sink   *obs.Sink
 	mon    *audit.Monitor
@@ -134,51 +142,65 @@ type traceSink struct {
 	spc    *space.Meter
 }
 
-// SetTracer installs t (call before the run starts).
-func (s *traceSink) SetTracer(t Tracer) { s.tracer = t }
+// newBase fills in cfg's defaults, validates it, and allocates the counters.
+func newBase(cfg Config) (base, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return base{}, err
+	}
+	return base{cfg: cfg, rounds: make([]pad.Int64, cfg.N), flips: make([]pad.Int64, cfg.N)}, nil
+}
 
-// setSink installs the observability sink on the protocol level. Protocols
-// expose SetSink methods that also propagate the sink to the memory stack
-// beneath them.
-func (s *traceSink) setSink(sk *obs.Sink) { s.sink = sk }
+// Config returns the effective configuration.
+func (s *base) Config() Config { return s.cfg }
 
-// Sink returns the installed observability sink (nil when none).
-func (s *traceSink) Sink() *obs.Sink { return s.sink }
+// SetTracer installs t (nil detaches; call before the run starts).
+func (s *base) SetTracer(t Tracer) { s.tracer = t }
 
-// setMonitor installs the invariant monitor on the protocol level. Protocols
-// expose SetMonitor methods that also propagate the monitor to the memory
-// stack and install their state-snapshot provider for flight dumps.
-func (s *traceSink) setMonitor(m *audit.Monitor) { s.mon = m }
+// install keeps the protocol level's copy of the run's instruments.
+// Protocols' Install methods also forward them to the memory stack beneath.
+func (s *base) install(in register.Instruments) {
+	s.sink, s.mon, s.prof, s.spc = in.Sink, in.Monitor, in.Profiler, in.Space
+}
 
-// Monitor returns the installed invariant monitor (nil when auditing is
-// off).
-func (s *traceSink) Monitor() *audit.Monitor { return s.mon }
+// reset zeroes the counters and detaches the tracer between pooled runs.
+func (s *base) reset() {
+	s.tracer = nil
+	for i := range s.rounds {
+		s.rounds[i].Store(0)
+		s.flips[i].Store(0)
+	}
+}
 
-// setProfiler installs the step profiler on the protocol level. Protocols
-// expose SetProfiler methods that also propagate the profiler to the memory
-// stack beneath them (the scan-layer blame hooks).
-func (s *traceSink) setProfiler(f *prof.Profiler) { s.prof = f }
+// metrics returns the per-pid round and coin-flip counts.
+func (s *base) metrics() Metrics {
+	m := Metrics{Rounds: make([]int64, s.cfg.N), CoinFlips: make([]int64, s.cfg.N)}
+	for i := range m.Rounds {
+		m.Rounds[i] = s.rounds[i].Load()
+		m.CoinFlips[i] = s.flips[i].Load()
+	}
+	return m
+}
 
-// Profiler returns the installed step profiler (nil when profiling is off).
-func (s *traceSink) Profiler() *prof.Profiler { return s.prof }
-
-// setSpace installs the space meter on the protocol level. Protocols expose
-// SetSpace methods that also propagate the meter down the memory stack and
-// declare their static word layout and value domains.
-func (s *traceSink) setSpace(m *space.Meter) { s.spc = m }
-
-// Space returns the installed space meter (nil when metering is off).
-func (s *traceSink) Space() *space.Meter { return s.spc }
+// newMemory builds the configured scannable memory in the configured storage
+// and scan-retry modes.
+func newMemory[E any](cfg Config) (scan.Memory[E], error) {
+	factory := register.DirectFactory
+	if cfg.UseBloomArrows {
+		factory = register.BloomFactory
+	}
+	return scan.New[E](cfg.MemKind, cfg.N, factory, cfg.Native, cfg.ScanEpoch)
+}
 
 // tracing reports whether any trace consumer is attached. Emit sites use it
 // to skip building Detail strings (the only allocating part of an event) when
 // nobody will see them.
-func (s *traceSink) tracing() bool { return s.tracer != nil || s.sink.Tracing() }
+func (s *base) tracing() bool { return s.tracer != nil || s.sink.Tracing() }
 
 // emit fires a protocol event to the legacy tracer (if any) and mirrors it
 // onto the obs sink, where it is counted in the registry and, with a recorder
 // installed, recorded as a core-layer event.
-func (s *traceSink) emit(e Event) {
+func (s *base) emit(e Event) {
 	if s.tracer != nil {
 		s.tracer(e)
 	}

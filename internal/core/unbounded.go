@@ -5,9 +5,7 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
-	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
-	"github.com/dsrepro/consensus/internal/pad"
 	"github.com/dsrepro/consensus/internal/register"
 	"github.com/dsrepro/consensus/internal/scan"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -36,49 +34,34 @@ func (e UEntry) Clone() UEntry {
 // same decide/adopt/flip structure as the bounded protocol, but rounds are
 // plain integers and every round has its own fresh unbounded coin counter.
 type AHUnbounded struct {
-	cfg    Config
-	params walk.Params // M unbounded
-	mem    scan.Memory[UEntry]
-
-	rounds   []pad.Int64
-	flips    []pad.Int64
+	base
+	params   walk.Params // M unbounded
+	mem      scan.Memory[UEntry]
 	maxAbs   atomic.Int64
 	maxRound atomic.Int64
 	stripLen atomic.Int64
 
 	// coins[i] is pid i's reused coin-assembly scratch (owner-only access).
 	coins [][]int
-
-	traceSink
 }
 
 // NewAHUnbounded builds an unbounded-baseline instance. Config.M is ignored:
 // counters are always unbounded.
 func NewAHUnbounded(cfg Config) (*AHUnbounded, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	b, err := newBase(cfg)
+	if err != nil {
 		return nil, err
 	}
+	cfg = b.cfg
 	params := walk.Params{N: cfg.N, B: cfg.B} // M=0: unbounded
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	factory := register.DirectFactory
-	if cfg.UseBloomArrows {
-		factory = register.BloomFactory
-	}
-	mem, err := scan.New[UEntry](cfg.MemKind, cfg.N, factory)
+	mem, err := newMemory[UEntry](cfg)
 	if err != nil {
 		return nil, err
 	}
-	u := &AHUnbounded{
-		cfg:    cfg,
-		params: params,
-		mem:    mem,
-		rounds: make([]pad.Int64, cfg.N),
-		flips:  make([]pad.Int64, cfg.N),
-		coins:  make([][]int, cfg.N),
-	}
+	u := &AHUnbounded{base: b, params: params, mem: mem, coins: make([][]int, cfg.N)}
 	for i := range u.coins {
 		u.coins[i] = make([]int, cfg.N)
 	}
@@ -88,68 +71,20 @@ func NewAHUnbounded(cfg Config) (*AHUnbounded, error) {
 // Name implements Protocol.
 func (u *AHUnbounded) Name() string { return "ah-unbounded" }
 
-// SetSink installs the observability sink on the protocol and the memory
-// stack beneath it.
-func (u *AHUnbounded) SetSink(s *obs.Sink) {
-	u.setSink(s)
-	if ss, ok := u.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(s)
-	}
-}
-
-// SetMonitor installs the invariant monitor on the protocol and the memory
-// stack beneath it, and provides the flight-recorder state snapshot. The
-// coin-range probe stays dormant here (counters are genuinely unbounded) but
-// the scan, register and end-of-instance probes all apply.
-func (u *AHUnbounded) SetMonitor(m *audit.Monitor) {
-	u.setMonitor(m)
-	if sm, ok := u.mem.(interface{ SetMonitor(*audit.Monitor) }); ok {
-		sm.SetMonitor(m)
-	}
-	m.SetStateFn(u.captureState)
-}
-
-// SetProfiler installs the step profiler on the protocol and the memory
-// stack beneath it (nil detaches; see Bounded.SetProfiler).
-func (u *AHUnbounded) SetProfiler(f *prof.Profiler) {
-	u.setProfiler(f)
-	if sp, ok := u.mem.(interface{ SetProfiler(*prof.Profiler) }); ok {
-		sp.SetProfiler(f)
-	}
-}
-
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see Bounded.SetNative).
-func (u *AHUnbounded) SetNative(on bool) {
-	if sn, ok := u.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
-
-// SetScanEpoch toggles the scan layer's dirty-bit epoch retry path (see
-// Bounded.SetScanEpoch).
-func (u *AHUnbounded) SetScanEpoch(on bool) {
-	if se, ok := u.mem.(interface{ SetEpoch(bool) }); ok {
-		se.SetEpoch(on)
-	}
-}
-
-// SetSpace installs the space meter (nil detaches). The static layout is
+// Install implements Protocol (see Bounded.Install). The coin-range probe
+// stays dormant here (counters are genuinely unbounded) but the scan,
+// register and end-of-instance probes all apply. The static space layout is
 // pref + round per process (core); everything else — the explicit round
 // number, the per-round coin counters and the strip itself — is unbounded,
-// which is exactly what the meters exist to show: inc adds strip words
-// online as the strip grows, and the round/counter magnitudes are measured
-// at their write sites.
-func (u *AHUnbounded) SetSpace(m *space.Meter) {
-	u.setSpace(m)
-	if sp, ok := u.mem.(register.SpaceSetter); ok {
-		sp.SetSpace(m, space.LayerRegister)
-	}
-	if m == nil {
-		return
-	}
-	n := int64(u.cfg.N)
-	m.AddWords(space.LayerCore, n*2) // pref + round
+// which is exactly what the meters exist to show: inc adds strip words online
+// as the strip grows, and the round/counter magnitudes are measured at their
+// write sites.
+func (u *AHUnbounded) Install(in register.Instruments) {
+	u.install(in)
+	u.mem.Install(in)
+	in.Monitor.SetStateFn(u.captureState)
+	m := in.Space
+	m.AddWords(space.LayerCore, int64(u.cfg.N)*2) // pref + round
 	m.DeclareDomain(space.LayerCore, 3)
 	m.DeclareUnbounded(space.LayerCore)  // explicit round numbers
 	m.DeclareUnbounded(space.LayerWalk)  // no ±(M+1) clamp
@@ -158,10 +93,6 @@ func (u *AHUnbounded) SetSpace(m *space.Meter) {
 
 // captureState snapshots the published state for flight dumps.
 func (u *AHUnbounded) captureState() audit.State {
-	pk, ok := u.mem.(interface{ PeekSlot(int) UEntry })
-	if !ok {
-		return audit.State{}
-	}
 	n := u.cfg.N
 	st := audit.State{
 		Prefs:  make([]int, n),
@@ -170,7 +101,7 @@ func (u *AHUnbounded) captureState() audit.State {
 		Strips: make([][]int, n),
 	}
 	for i := 0; i < n; i++ {
-		e := pk.PeekSlot(i)
+		e := u.mem.PeekSlot(i)
 		st.Prefs[i] = int(e.Pref)
 		st.Rounds[i] = e.Round
 		if e.Round >= 1 && int(e.Round) <= len(e.Strip) {
@@ -181,48 +112,26 @@ func (u *AHUnbounded) captureState() audit.State {
 	return st
 }
 
-// Reset restores the instance to its initial state for pooling (core.Arena),
-// reporting whether the memory stack supported it. Call only between runs.
-func (u *AHUnbounded) Reset() bool {
-	r, ok := u.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
-	for i := range u.rounds {
-		u.rounds[i].Store(0)
-		u.flips[i].Store(0)
-	}
+// Reset implements Protocol.
+func (u *AHUnbounded) Reset() {
+	u.mem.Reset()
+	u.reset()
 	u.maxAbs.Store(0)
 	u.maxRound.Store(0)
 	u.stripLen.Store(0)
-	u.traceSink = traceSink{}
-	return true
 }
 
 // PeekEntry returns the current register value of process j without a
 // scheduler step — a hook for protocol-aware ("strong") adversaries and
-// metrics. Returns the zero entry if the memory implementation does not
-// support peeking.
-func (u *AHUnbounded) PeekEntry(j int) UEntry {
-	if p, ok := u.mem.(interface{ PeekSlot(int) UEntry }); ok {
-		return p.PeekSlot(j)
-	}
-	return UEntry{}
-}
+// metrics.
+func (u *AHUnbounded) PeekEntry(j int) UEntry { return u.mem.PeekSlot(j) }
 
 // Metrics implements Protocol.
 func (u *AHUnbounded) Metrics() Metrics {
-	m := Metrics{
-		Rounds:     make([]int64, u.cfg.N),
-		CoinFlips:  make([]int64, u.cfg.N),
-		MaxAbsCoin: u.maxAbs.Load(),
-		MaxRound:   u.maxRound.Load(),
-		StripLen:   u.stripLen.Load(),
-	}
-	for i := 0; i < u.cfg.N; i++ {
-		m.Rounds[i] = u.rounds[i].Load()
-		m.CoinFlips[i] = u.flips[i].Load()
-	}
+	m := u.metrics()
+	m.MaxAbsCoin = u.maxAbs.Load()
+	m.MaxRound = u.maxRound.Load()
+	m.StripLen = u.stripLen.Load()
 	return m
 }
 

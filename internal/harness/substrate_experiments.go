@@ -65,9 +65,9 @@ func e7ScanRetries() Experiment {
 					arrow := scan.NewArrow[int](n, register.DirectFactory)
 					seq := scan.NewSeqSnap[int](n)
 					wf := scan.NewWaitFree[int](n)
-					arrow.SetSink(o.Sink)
-					seq.SetSink(o.Sink)
-					wf.SetSink(o.Sink)
+					for _, m := range []scan.Memory[int]{arrow, seq, wf} {
+						m.Install(register.Instruments{Sink: o.Sink})
+					}
 					t.Add(pace, measure(arrow, arrow.Retries), measure(seq, seq.Retries), measure(wf, wf.Retries))
 				}
 				t.Note("retries fall as writers idle longer; back-to-back writers can starve the paper's scan (non-blocking, not wait-free) — the Afek-et-al. wait-free snapshot never starves (it borrows embedded views).")

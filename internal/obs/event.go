@@ -102,7 +102,7 @@ const (
 	// sched layer.
 	SchedGrant // the adversary granted one atomic step
 
-	// core layer (the protocol events formerly on core's traceSink).
+	// core layer (the protocol events mirrored from core's legacy Tracer seam).
 	CoreStart
 	CoreRound
 	CorePref

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/dsrepro/consensus/internal/obs"
+	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/sched"
 )
 
@@ -12,9 +13,9 @@ import (
 // observability is off (nil sink) or metrics-only (sink without recorder).
 func TestRegisterOpsZeroAlloc(t *testing.T) {
 	swmr := NewSWMR(0, 0)
-	tog := NewToggledSWMR(0, 0)
-	d2w := NewDirect2W(0, 1, false)
-	bloom := NewBloom2W(0, 1, false)
+	tog := NewToggledSWMR(0, 0, false)
+	d2w := NewDirect2W(0, 1, false, false)
+	bloom := NewBloom2W(0, 1, false, false)
 	check := func(mode string) {
 		sched.RunFree(1, 1, func(p *sched.Proc) {
 			if n := testing.AllocsPerRun(500, func() {
@@ -35,8 +36,10 @@ func TestRegisterOpsZeroAlloc(t *testing.T) {
 	check("no sink")
 
 	s := obs.NewSink(nil) // metrics-only: counted, never recorded
-	for _, r := range []SinkSetter{swmr, tog, d2w, bloom} {
-		r.SetSink(s)
+	for _, r := range []interface {
+		Install(Instruments, space.Layer)
+	}{swmr, tog, d2w, bloom} {
+		r.Install(Instruments{Sink: s}, space.LayerRegister)
 	}
 	check("metrics-only sink")
 	if got := s.Registry().KindCount(obs.RegSWMRRead); got == 0 {

@@ -1,8 +1,6 @@
 package register
 
 import (
-	"sync"
-
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/sched"
@@ -19,48 +17,30 @@ import (
 // protocol that uses it.
 //
 // Storage mirrors SWMR: a mutex-guarded value under the deterministic
-// substrate, a padded atomic cell in native mode (see SWMR.SetNative).
+// substrate, a padded atomic cell in native mode.
 type DirectMRMW[T any] struct {
-	fp     int64 // footprint key for commuting dispatch
-	sink   *obs.Sink
-	native bool
-	space  spaceMark
-	mu     sync.Mutex
-	v      T
-	cell   natCell[T]
+	fp    int64 // footprint key for commuting dispatch
+	sink  *obs.Sink
+	space spaceMark
+	store[T]
 }
 
-// NewDirectMRMW returns a multi-writer register initialized to init. Native
-// mode can be chosen at construction so lazily grown register files match
-// the substrate of the run that grows them.
+// NewDirectMRMW returns a multi-writer register initialized to init, with
+// native (lock-free) storage when native is set, so lazily grown register
+// files match the substrate of the run that grows them.
 func NewDirectMRMW[T any](init T, native bool) *DirectMRMW[T] {
-	r := &DirectMRMW[T]{fp: sched.NewFootprintKey(), v: init}
-	if native {
-		r.SetNative(true)
-	}
+	r := &DirectMRMW[T]{fp: sched.NewFootprintKey()}
+	r.v = init
+	r.setNative(native)
 	return r
 }
 
-// SetSink installs the observability sink (call before the run starts, or at
-// creation time for lazily grown registers).
-func (r *DirectMRMW[T]) SetSink(s *obs.Sink) { r.sink = s }
-
-// SetSpace implements SpaceSetter: one physical register.
-func (r *DirectMRMW[T]) SetSpace(m *space.Meter, l space.Layer) { r.space.set(m, l, 1) }
-
-// SetNative switches the storage mode (see SWMR.SetNative: call only while
-// no process is active).
-func (r *DirectMRMW[T]) SetNative(on bool) {
-	if on == r.native {
-		return
-	}
-	if on {
-		v := r.v
-		r.cell.v.Store(&v)
-	} else {
-		r.v = *r.cell.v.Load()
-	}
-	r.native = on
+// Install implements the per-run instrument seam (at run start, or at
+// creation time for lazily grown registers): the sink, and the space meter
+// declaring one physical register under layer l.
+func (r *DirectMRMW[T]) Install(in Instruments, l space.Layer) {
+	r.sink = in.Sink
+	r.space.set(in.Space, l, 1)
 }
 
 // Read returns the register's current value. One atomic step.
@@ -68,12 +48,7 @@ func (r *DirectMRMW[T]) Read(p *sched.Proc) T {
 	p.DeclareRead(r.fp)
 	p.Step()
 	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegMRMWRead, Value: int64(p.ID())})
-	if r.native {
-		return *r.cell.v.Load()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
+	return r.load()
 }
 
 // Write stores v. One atomic step. Any process may write.
@@ -82,38 +57,13 @@ func (r *DirectMRMW[T]) Write(p *sched.Proc, v T) {
 	p.Step()
 	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegMRMWWrite, Value: int64(p.ID())})
 	r.space.markWrite()
-	if r.native {
-		c := new(T)
-		*c = v
-		r.cell.v.Store(c)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
+	r.put(v)
 }
 
 // Peek returns the current value without a scheduler step or process context
 // (test oracles and flight dumps only).
-func (r *DirectMRMW[T]) Peek() T {
-	if r.native {
-		return *r.cell.v.Load()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
-}
+func (r *DirectMRMW[T]) Peek() T { return r.load() }
 
 // Reset restores the register to the initial value v between runs (pooling
 // path only).
-func (r *DirectMRMW[T]) Reset(v T) {
-	if r.native {
-		c := new(T)
-		*c = v
-		r.cell.v.Store(c)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
-}
+func (r *DirectMRMW[T]) Reset(v T) { r.put(v) }

@@ -31,8 +31,9 @@ type mrmwCell[T any] struct {
 	wid int
 }
 
-// NewMRMW returns an MRMW register for n processes holding init.
-func NewMRMW[T any](n int, init T) *MRMW[T] {
+// NewMRMW returns an MRMW register for n processes holding init, its SWMR
+// cells in native (lock-free) storage when native is set.
+func NewMRMW[T any](n int, init T, native bool) *MRMW[T] {
 	r := &MRMW[T]{n: n, cells: make([]*SWMR[mrmwCell[T]], n)}
 	for i := 0; i < n; i++ {
 		r.cells[i] = NewSWMR(i, mrmwCell[T]{})
@@ -40,14 +41,10 @@ func NewMRMW[T any](n int, init T) *MRMW[T] {
 	// The initial value lives in cell 0 at timestamp 0 with wid -1 so any
 	// real write (wid >= 0) supersedes it.
 	r.cells[0] = NewSWMR(0, mrmwCell[T]{val: init, wid: -1})
-	return r
-}
-
-// SetNative switches every SWMR cell's storage mode (see SWMR.SetNative).
-func (r *MRMW[T]) SetNative(on bool) {
 	for _, c := range r.cells {
-		c.SetNative(on)
+		c.SetNative(native)
 	}
+	return r
 }
 
 func (r *MRMW[T]) checkPid(pid int) {

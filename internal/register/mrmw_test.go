@@ -9,7 +9,7 @@ import (
 
 func TestMRMWSequential(t *testing.T) {
 	_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
-		r := NewMRMW(1, 10)
+		r := NewMRMW(1, 10, false)
 		if got := r.Read(p); got != 10 {
 			t.Errorf("initial Read = %d", got)
 		}
@@ -25,7 +25,7 @@ func TestMRMWSequential(t *testing.T) {
 }
 
 func TestMRMWPidChecked(t *testing.T) {
-	r := NewMRMW(2, 0)
+	r := NewMRMW(2, 0, false)
 	_, err := sched.Run(sched.Config{N: 3, Seed: 1}, func(p *sched.Proc) {
 		if p.ID() != 2 {
 			return
@@ -48,7 +48,7 @@ func TestMRMWPidChecked(t *testing.T) {
 func TestMRMWIsAtomic(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		const n = 3
-		reg := NewMRMW(n, 0)
+		reg := NewMRMW(n, 0, false)
 		var rec linearize.Recorder
 		nextVal := 1 // unique write values (serialized under the scheduler)
 		_, err := sched.Run(sched.Config{
@@ -83,7 +83,7 @@ func TestMRMWIsAtomic(t *testing.T) {
 }
 
 func TestMRMWTimestampsGrowWithoutBound(t *testing.T) {
-	reg := NewMRMW(2, 0)
+	reg := NewMRMW(2, 0, false)
 	_, err := sched.Run(sched.Config{N: 2, Seed: 4}, func(p *sched.Proc) {
 		for k := 0; k < 50; k++ {
 			reg.Write(p, k)

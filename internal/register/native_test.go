@@ -8,7 +8,7 @@ import (
 
 // TestNativeModeRoundTrip pins the storage-mode switch: values survive
 // SetNative(true), native reads/writes/peeks/resets, and the fold back to
-// mutex storage.
+// mutex storage; a Direct2W built native keeps its initial bit and resets.
 func TestNativeModeRoundTrip(t *testing.T) {
 	r := NewSWMR(0, 10)
 	r.SetNative(true)
@@ -24,12 +24,13 @@ func TestNativeModeRoundTrip(t *testing.T) {
 		t.Fatalf("mutex Peek after fold-back = %d, want 20", got)
 	}
 
-	d := NewDirect2W(0, 1, true)
-	d.SetNative(true)
+	d := NewDirect2W(0, 1, true, true)
+	if !d.Peekish() {
+		t.Fatal("native Direct2W lost its initial bit")
+	}
 	d.Reset(false)
-	d.SetNative(false)
 	if d.Peekish() {
-		t.Fatal("Direct2W fold-back lost the reset")
+		t.Fatal("native Direct2W lost the reset")
 	}
 }
 
@@ -52,15 +53,11 @@ func TestNativeRegistersUnderRealConcurrency(t *testing.T) {
 	const n, writes = 4, 200
 	regs := make([]*ToggledSWMR[int], n)
 	for i := range regs {
-		regs[i] = NewToggledSWMR(i, 0)
-		regs[i].SetNative(true)
+		regs[i] = NewToggledSWMR(i, 0, true)
 	}
-	d2w := NewDirect2W(0, 1, false)
-	d2w.SetNative(true)
-	bloom := NewBloom2W(2, 3, false)
-	bloom.SetNative(true)
-	mrmw := NewMRMW(n, 0)
-	mrmw.SetNative(true)
+	d2w := NewDirect2W(0, 1, false, true)
+	bloom := NewBloom2W(2, 3, false, true)
+	mrmw := NewMRMW(n, 0, true)
 
 	res, err := sched.NewNative(sched.NativeOptions{}).Run(sched.Config{N: n, Seed: 9},
 		func(p *sched.Proc) {

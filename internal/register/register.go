@@ -12,13 +12,18 @@
 // free-running mode (real goroutines) race-free; under the step scheduler it
 // is never contended.
 //
-// On the native substrate (sched.NewNative) registers switch to lock-free
-// storage instead: SetNative(true) moves the value into a cache-line-padded
-// sync/atomic cell, so concurrent process goroutines are serialized by the
-// hardware's atomics rather than by a mutex. The mode is set by
-// core.ExecuteProto before the run starts and propagates down the memory
-// stack exactly like SetSink; it must never be flipped while processes are
-// active.
+// On the native substrate (sched.NewNative) registers use lock-free storage
+// instead: a cache-line-padded sync/atomic cell, so concurrent process
+// goroutines are serialized by the hardware's atomics rather than by a mutex.
+// The storage mode is fixed when the register is built (the native argument
+// of each constructor); a protocol instance built for one substrate is
+// rejected by core.ExecuteProto on the other.
+//
+// The per-run observers — sink, invariant monitor, profiler and space meter —
+// travel together as Instruments. Every layer's interface has one Install
+// method taking all of them, called once per run before it starts: a nil
+// field detaches that observer, and no layer can pass some instruments down
+// while dropping another.
 package register
 
 import (
@@ -28,18 +33,20 @@ import (
 
 	"github.com/dsrepro/consensus/internal/obs"
 	"github.com/dsrepro/consensus/internal/obs/audit"
+	"github.com/dsrepro/consensus/internal/obs/prof"
 	"github.com/dsrepro/consensus/internal/obs/space"
 	"github.com/dsrepro/consensus/internal/sched"
 )
 
-// SpaceSetter is implemented by every register (and the scannable memories
-// built from them) so a space meter installed at the top of a protocol stack
-// propagates down to each primitive. Installing a meter (re)declares the
-// register under the given layer and re-arms its first-write liveness mark;
-// a nil meter detaches. Call before the run starts, never while processes
-// are active.
-type SpaceSetter interface {
-	SetSpace(m *space.Meter, l space.Layer)
+// Instruments are the per-run observers installed down a protocol stack.
+// Every field may be nil (that observer is off); all of them are passive —
+// they take no scheduler steps and consume no randomness — so an instrumented
+// run is step-for-step identical to a bare one.
+type Instruments struct {
+	Sink     *obs.Sink
+	Monitor  *audit.Monitor
+	Profiler *prof.Profiler
+	Space    *space.Meter
 }
 
 // spaceMark is the embedded per-register liveness bookkeeping: the meter a
@@ -69,13 +76,6 @@ func (s *spaceMark) markWrite() {
 	}
 }
 
-// NativeSetter is implemented by every register and scannable memory so the
-// storage mode chosen by the substrate propagates down a protocol stack the
-// same way sinks do.
-type NativeSetter interface {
-	SetNative(on bool)
-}
-
 // natCell is the native-mode storage of a generic register: an atomic
 // pointer to an immutable snapshot of the value, padded on both sides so two
 // registers adjacent in memory never share a cache line. Each Write
@@ -88,70 +88,97 @@ type natCell[T any] struct {
 	_ [56]byte
 }
 
-// SinkSetter is implemented by every register (and by the scannable
-// memories built from them) so an observability sink installed at the top of
-// a protocol stack propagates down to each primitive.
-type SinkSetter interface {
-	SetSink(*obs.Sink)
+// store is the value storage shared by the generic registers: a
+// mutex-guarded value on the deterministic substrate, a natCell on the
+// native one.
+type store[T any] struct {
+	native bool
+	mu     sync.Mutex
+	v      T
+	cell   natCell[T]
+}
+
+// setNative switches the storage mode, carrying the current value across.
+// Only while no process is active.
+func (s *store[T]) setNative(on bool) {
+	if on == s.native {
+		return
+	}
+	if on {
+		v := s.v
+		s.cell.v.Store(&v)
+	} else {
+		s.v = *s.cell.v.Load()
+	}
+	s.native = on
+}
+
+func (s *store[T]) load() T {
+	if s.native {
+		return *s.cell.v.Load()
+	}
+	s.mu.Lock()
+	v := s.v
+	s.mu.Unlock()
+	return v
+}
+
+func (s *store[T]) put(v T) {
+	if s.native {
+		// Copy via new(T) rather than &v: taking the parameter's address
+		// would make it escape on the simulated path too, breaking the
+		// zero-alloc guarantee the mutex mode keeps.
+		c := new(T)
+		*c = v
+		s.cell.v.Store(c)
+		return
+	}
+	s.mu.Lock()
+	s.v = v
+	s.mu.Unlock()
 }
 
 // SWMR is a single-writer multi-reader atomic register holding a value of
 // type T. Only the owner process may write; any process may read. It models a
 // hardware atomic register: one read or write is one atomic step.
 type SWMR[T any] struct {
-	owner  int
-	fp     int64 // footprint key for commuting dispatch (sched.NewFootprintKey)
-	sink   *obs.Sink
-	native bool
-	space  spaceMark
-	mu     sync.Mutex
-	v      T
-	cell   natCell[T]
+	owner int
+	fp    int64 // footprint key for commuting dispatch (sched.NewFootprintKey)
+	sink  *obs.Sink
+	space spaceMark
+	store[T]
 }
 
 // NewSWMR returns an SWMR register owned (writable) by process owner,
-// initialized to init.
+// initialized to init, with mutex storage (see SetNative).
 func NewSWMR[T any](owner int, init T) *SWMR[T] {
-	return &SWMR[T]{owner: owner, fp: sched.NewFootprintKey(), v: init}
+	r := &SWMR[T]{owner: owner, fp: sched.NewFootprintKey()}
+	r.v = init
+	return r
 }
 
 // Owner returns the pid of the register's single writer.
 func (r *SWMR[T]) Owner() int { return r.owner }
 
-// SetSink installs the observability sink (call before the run starts).
-func (r *SWMR[T]) SetSink(s *obs.Sink) { r.sink = s }
+// Install implements the per-run instrument seam: the sink, and the space
+// meter declaring one physical register under layer l.
+func (r *SWMR[T]) Install(in Instruments, l space.Layer) {
+	r.sink = in.Sink
+	r.space.set(in.Space, l, 1)
+}
 
-// SetSpace implements SpaceSetter: one physical register.
-func (r *SWMR[T]) SetSpace(m *space.Meter, l space.Layer) { r.space.set(m, l, 1) }
-
-// SetNative switches the storage mode (call before the run starts, never
+// SetNative chooses the storage mode (call while building the stack, never
 // while processes are active): true moves the current value into the padded
 // atomic cell for the native substrate, false folds it back into the mutex
 // storage for the deterministic one.
-func (r *SWMR[T]) SetNative(on bool) {
-	if on == r.native {
-		return // idempotent: a pooled register may be re-armed between runs
-	}
-	if on {
-		v := r.v
-		r.cell.v.Store(&v)
-	} else {
-		r.v = *r.cell.v.Load()
-	}
-	r.native = on
-}
+func (r *SWMR[T]) SetNative(on bool) { r.setNative(on) }
 
 // Read returns the register's current value. One atomic step.
 func (r *SWMR[T]) Read(p *sched.Proc) T {
 	p.DeclareRead(r.fp)
 	p.Step()
 	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegSWMRRead, Value: int64(r.owner)})
-	if r.native {
-		return *r.cell.v.Load()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
+	return r.load()
 }
 
 // Write stores v. One atomic step. Calling Write from a process other than
@@ -164,48 +191,20 @@ func (r *SWMR[T]) Write(p *sched.Proc, v T) {
 	p.Step()
 	r.sink.Emit(obs.Event{Step: p.Now(), Pid: p.ID(), Kind: obs.RegSWMRWrite, Value: int64(r.owner)})
 	r.space.markWrite()
-	if r.native {
-		// Copy via new(T) rather than &v: taking the parameter's address
-		// would make it escape on the simulated path too, breaking the
-		// zero-alloc guarantee the mutex mode keeps.
-		c := new(T)
-		*c = v
-		r.cell.v.Store(c)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
+	r.put(v)
 }
 
 // Peek returns the current value without a scheduler step or process context.
 // It is for test oracles and metrics collection only — never for algorithm
-// logic, which must pay for its reads.
-func (r *SWMR[T]) Peek() T {
-	if r.native {
-		// Native Peek stays safe mid-run (flight dumps snapshot state while
-		// other goroutines are in flight): it is one atomic load.
-		return *r.cell.v.Load()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.v
-}
+// logic, which must pay for its reads. Native Peek stays safe mid-run (flight
+// dumps snapshot state while other goroutines are in flight): it is one
+// atomic load.
+func (r *SWMR[T]) Peek() T { return r.load() }
 
 // Reset restores the register to the initial value v without a scheduler step.
 // It is part of the instance-pooling path (see core.Arena) and must only be
 // called between runs, never while simulated processes are active.
-func (r *SWMR[T]) Reset(v T) {
-	if r.native {
-		c := new(T)
-		*c = v
-		r.cell.v.Store(c)
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.v = v
-}
+func (r *SWMR[T]) Reset(v T) { r.put(v) }
 
 // Toggled pairs a value with the paper's alternating bit: "an alternating bit
 // field is assumed to be added to each register V_i, such that two values
@@ -218,36 +217,29 @@ type Toggled[T any] struct {
 // ToggledSWMR wraps an SWMR register so every write flips the toggle bit.
 // The writer tracks the bit locally (it is the only writer).
 type ToggledSWMR[T any] struct {
-	reg   *SWMR[Toggled[T]]
-	next  bool
-	mon   *audit.Monitor
-	regID int
+	reg  *SWMR[Toggled[T]]
+	next bool
+	mon  *audit.Monitor
 }
 
-// NewToggledSWMR returns a toggle-bit SWMR register owned by owner.
-func NewToggledSWMR[T any](owner int, init T) *ToggledSWMR[T] {
-	return &ToggledSWMR[T]{reg: NewSWMR(owner, Toggled[T]{Val: init}), next: true}
+// NewToggledSWMR returns a toggle-bit SWMR register owned by owner, with
+// native (lock-free) storage when native is set.
+func NewToggledSWMR[T any](owner int, init T, native bool) *ToggledSWMR[T] {
+	r := &ToggledSWMR[T]{reg: NewSWMR(owner, Toggled[T]{Val: init}), next: true}
+	r.reg.SetNative(native)
+	return r
 }
 
-// SetSink installs the observability sink on the wrapped register.
-func (r *ToggledSWMR[T]) SetSink(s *obs.Sink) { r.reg.SetSink(s) }
-
-// SetSpace installs the space meter on the wrapped register (the toggle bit
-// is part of the same physical register, accounted as scan-layer overhead by
-// the memory that owns this wrapper).
-func (r *ToggledSWMR[T]) SetSpace(m *space.Meter, l space.Layer) { r.reg.SetSpace(m, l) }
-
-// SetNative switches the wrapped register's storage mode. The toggle-bit
-// bookkeeping needs no change: r.next is owner-local state.
-func (r *ToggledSWMR[T]) SetNative(on bool) { r.reg.SetNative(on) }
-
-// SetMonitor attaches the invariant monitor's sampled register-regularity
-// probe, identifying this register as id in recorded histories (a nil m
-// detaches). The toggle bit doubles as the recorded value: it alternates on
-// every write, which is exactly what makes the regularity check decisive.
-func (r *ToggledSWMR[T]) SetMonitor(m *audit.Monitor, id int) {
-	r.mon = m
-	r.regID = id
+// Install implements the per-run instrument seam on the wrapped register (the
+// toggle bit is part of the same physical register, accounted as scan-layer
+// overhead by the memory that owns this wrapper) and attaches the invariant
+// monitor's sampled register-regularity probe, which identifies the register
+// by its owner in recorded histories. The toggle bit doubles as the recorded
+// value: it alternates on every write, which is exactly what makes the
+// regularity check decisive.
+func (r *ToggledSWMR[T]) Install(in Instruments, l space.Layer) {
+	r.reg.Install(in, l)
+	r.mon = in.Monitor
 }
 
 // Read returns the current value and toggle bit. One atomic step.
@@ -257,7 +249,7 @@ func (r *ToggledSWMR[T]) Read(p *sched.Proc) Toggled[T] {
 	}
 	start := p.Now()
 	v := r.reg.Read(p)
-	r.mon.RegOp(r.regID, p.ID(), false, toggleInt(v.Toggle), start, p.Now())
+	r.mon.RegOp(r.reg.owner, p.ID(), false, toggleInt(v.Toggle), start, p.Now())
 	return v
 }
 
@@ -272,7 +264,7 @@ func (r *ToggledSWMR[T]) Write(p *sched.Proc, v T) {
 	tog := r.next
 	r.reg.Write(p, Toggled[T]{Val: v, Toggle: tog})
 	r.next = !r.next
-	r.mon.RegOp(r.regID, p.ID(), true, toggleInt(tog), start, p.Now())
+	r.mon.RegOp(r.reg.owner, p.ID(), true, toggleInt(tog), start, p.Now())
 }
 
 func toggleInt(b bool) int {
@@ -302,6 +294,11 @@ type TwoWriter interface {
 	Read(p *sched.Proc) bool
 	// Write stores the bit. p must be one of the two parties.
 	Write(p *sched.Proc, v bool)
+	// Install installs the run's instruments, metering the register's
+	// footprint under layer l.
+	Install(in Instruments, l space.Layer)
+	// Reset restores the bit to v between runs (instance pooling).
+	Reset(v bool)
 }
 
 // Direct2W is the direct atomic model of a 2W2R boolean register: one read or
@@ -326,9 +323,12 @@ type natBoolCell struct {
 	_ [63]byte
 }
 
-// NewDirect2W returns a direct-model 2W2R register shared by processes a and b.
-func NewDirect2W(a, b int, init bool) *Direct2W {
-	return &Direct2W{a: a, b: b, fp: sched.NewFootprintKey(), v: init}
+// NewDirect2W returns a direct-model 2W2R register shared by processes a and
+// b, with native (lock-free) storage when native is set.
+func NewDirect2W(a, b int, init, native bool) *Direct2W {
+	r := &Direct2W{a: a, b: b, fp: sched.NewFootprintKey(), v: init, native: native}
+	r.cell.v.Store(init)
+	return r
 }
 
 func (r *Direct2W) checkParty(pid int) {
@@ -337,28 +337,13 @@ func (r *Direct2W) checkParty(pid int) {
 	}
 }
 
-// SetSink installs the observability sink.
-func (r *Direct2W) SetSink(s *obs.Sink) { r.sink = s }
-
-// SetSpace implements SpaceSetter: one physical register holding one
-// boolean word.
-func (r *Direct2W) SetSpace(m *space.Meter, l space.Layer) {
-	r.space.set(m, l, 1)
-	m.AddWords(l, 1)
-	m.DeclareDomain(l, 2)
-}
-
-// SetNative switches the storage mode (see SWMR.SetNative).
-func (r *Direct2W) SetNative(on bool) {
-	if on == r.native {
-		return // idempotent: a pooled register may be re-armed between runs
-	}
-	if on {
-		r.cell.v.Store(r.v)
-	} else {
-		r.v = r.cell.v.Load()
-	}
-	r.native = on
+// Install implements TwoWriter: one physical register holding one boolean
+// word.
+func (r *Direct2W) Install(in Instruments, l space.Layer) {
+	r.sink = in.Sink
+	r.space.set(in.Space, l, 1)
+	in.Space.AddWords(l, 1)
+	in.Space.DeclareDomain(l, 2)
 }
 
 // Read implements TwoWriter. One atomic step.
@@ -391,8 +376,7 @@ func (r *Direct2W) Write(p *sched.Proc, v bool) {
 	r.v = v
 }
 
-// Reset restores the register to the initial bit between runs. Pooling path
-// only.
+// Reset implements TwoWriter: it stores the bit without a scheduler step.
 func (r *Direct2W) Reset(v bool) {
 	if r.native {
 		r.cell.v.Store(v)
@@ -416,10 +400,9 @@ func (r *Direct2W) Reset(v bool) {
 // A write costs two atomic steps (read other tag, write own sub-register); a
 // read costs two atomic steps.
 type Bloom2W struct {
-	a, b  int // a plays Bloom writer 0, b plays writer 1
-	sink  *obs.Sink
-	sub   [2]*SWMR[bloomCell]
-	party func(pid int) int
+	a, b int // a plays Bloom writer 0, b plays writer 1
+	sink *obs.Sink
+	sub  [2]*SWMR[bloomCell]
 }
 
 type bloomCell struct {
@@ -428,13 +411,18 @@ type bloomCell struct {
 }
 
 // NewBloom2W returns a Bloom-construction 2W2R register shared by processes
-// a and b (a is Bloom's writer 0, b is writer 1).
-func NewBloom2W(a, b int, init bool) *Bloom2W {
+// a and b (a is Bloom's writer 0, b is writer 1). native selects the SWMR
+// sub-registers' storage; the construction itself needs no change, since its
+// correctness argument only assumes the sub-registers are atomic, which both
+// storage modes provide.
+func NewBloom2W(a, b int, init, native bool) *Bloom2W {
 	r := &Bloom2W{a: a, b: b}
 	// Initial state: tags equal, writer 0's cell holds the initial value —
 	// consistent with "writer 0 wrote last".
 	r.sub[0] = NewSWMR(a, bloomCell{val: init})
 	r.sub[1] = NewSWMR(b, bloomCell{})
+	r.sub[0].SetNative(native)
+	r.sub[1].SetNative(native)
 	return r
 }
 
@@ -449,30 +437,16 @@ func (r *Bloom2W) role(pid int) int {
 	}
 }
 
-// SetSink installs the observability sink on the wrapper and both SWMR
-// sub-registers, so Bloom-level and SWMR-level operations are both accounted.
-func (r *Bloom2W) SetSink(s *obs.Sink) {
-	r.sink = s
-	r.sub[0].SetSink(s)
-	r.sub[1].SetSink(s)
-}
-
-// SetNative switches both SWMR sub-registers' storage mode. The construction
-// itself needs no change: its correctness argument only assumes the
-// sub-registers are atomic, which both storage modes provide.
-func (r *Bloom2W) SetNative(on bool) {
-	r.sub[0].SetNative(on)
-	r.sub[1].SetNative(on)
-}
-
-// SetSpace installs the space meter on both SWMR sub-registers: the Bloom
-// construction's physical footprint is its two single-writer halves, each
-// holding a (value, tag) pair of booleans.
-func (r *Bloom2W) SetSpace(m *space.Meter, l space.Layer) {
-	r.sub[0].SetSpace(m, l)
-	r.sub[1].SetSpace(m, l)
-	m.AddWords(l, 4)
-	m.DeclareDomain(l, 2)
+// Install implements TwoWriter on the wrapper and both SWMR sub-registers, so
+// Bloom-level and SWMR-level operations are both accounted. The physical
+// footprint is the two single-writer halves, each holding a (value, tag) pair
+// of booleans.
+func (r *Bloom2W) Install(in Instruments, l space.Layer) {
+	r.sink = in.Sink
+	r.sub[0].Install(in, l)
+	r.sub[1].Install(in, l)
+	in.Space.AddWords(l, 4)
+	in.Space.DeclareDomain(l, 2)
 }
 
 // Write implements TwoWriter. Two atomic steps.
@@ -499,27 +473,20 @@ func (r *Bloom2W) Read(p *sched.Proc) bool {
 	return c1.val // writer 1 wrote last
 }
 
-// Reset restores the register to the initial bit between runs (tags equal,
-// writer 0's cell holding the value — the construction's initial state).
-// Pooling path only.
+// Reset implements TwoWriter: tags equal, writer 0's cell holding the value —
+// the construction's initial state.
 func (r *Bloom2W) Reset(v bool) {
 	r.sub[0].Reset(bloomCell{val: v})
 	r.sub[1].Reset(bloomCell{})
 }
 
-// TwoWriterResetter is the optional Reset capability of a TwoWriter; both
-// provided implementations have it, and the scannable memory's own Reset
-// reports failure when a custom register lacks it.
-type TwoWriterResetter interface {
-	Reset(v bool)
-}
-
-// TwoWriterFactory builds a 2W2R register for parties (a, b); it lets the
-// scannable memory be assembled over either register substrate.
-type TwoWriterFactory func(a, b int, init bool) TwoWriter
+// TwoWriterFactory builds a 2W2R register for parties (a, b) in the given
+// storage mode; it lets the scannable memory be assembled over either
+// register substrate.
+type TwoWriterFactory func(a, b int, init, native bool) TwoWriter
 
 // DirectFactory builds direct-model 2W2R registers.
-func DirectFactory(a, b int, init bool) TwoWriter { return NewDirect2W(a, b, init) }
+func DirectFactory(a, b int, init, native bool) TwoWriter { return NewDirect2W(a, b, init, native) }
 
 // BloomFactory builds Bloom-construction 2W2R registers over SWMR registers.
-func BloomFactory(a, b int, init bool) TwoWriter { return NewBloom2W(a, b, init) }
+func BloomFactory(a, b int, init, native bool) TwoWriter { return NewBloom2W(a, b, init, native) }

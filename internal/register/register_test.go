@@ -54,7 +54,7 @@ func TestSWMRPeekDoesNotStep(t *testing.T) {
 
 func TestToggledSWMRAlternatesBit(t *testing.T) {
 	_, err := sched.Run(sched.Config{N: 1, Seed: 1}, func(p *sched.Proc) {
-		r := NewToggledSWMR(0, 0)
+		r := NewToggledSWMR(0, 0, false)
 		prev := r.Read(p)
 		for i := 1; i <= 5; i++ {
 			r.Write(p, 0) // same payload every time
@@ -71,7 +71,7 @@ func TestToggledSWMRAlternatesBit(t *testing.T) {
 }
 
 func TestDirect2WPartiesEnforced(t *testing.T) {
-	r := NewDirect2W(0, 2, false)
+	r := NewDirect2W(0, 2, false, false)
 	_, err := sched.Run(sched.Config{N: 3, Seed: 1}, func(p *sched.Proc) {
 		switch p.ID() {
 		case 0:
@@ -97,7 +97,7 @@ func TestBloom2WSequentialSemantics(t *testing.T) {
 		if p.ID() != 0 {
 			return
 		}
-		r := NewBloom2W(0, 1, true)
+		r := NewBloom2W(0, 1, true, false)
 		if !r.Read(p) {
 			t.Error("initial value lost")
 		}
@@ -112,7 +112,7 @@ func TestBloom2WSequentialSemantics(t *testing.T) {
 }
 
 func TestBloom2WAlternatingWriters(t *testing.T) {
-	r := NewBloom2W(0, 1, false)
+	r := NewBloom2W(0, 1, false, false)
 	// Round-robin schedule: each pid alternates write(own bit) / read. With
 	// the deterministic round-robin adversary semantics are still atomic;
 	// here we just check a sequential-ish sanity pattern via one process at
@@ -130,7 +130,7 @@ func TestBloom2WAlternatingWriters(t *testing.T) {
 }
 
 func TestBloom2WThirdPartyPanics(t *testing.T) {
-	r := NewBloom2W(0, 1, false)
+	r := NewBloom2W(0, 1, false, false)
 	_, err := sched.Run(sched.Config{N: 3, Seed: 1}, func(p *sched.Proc) {
 		if p.ID() != 2 {
 			return
@@ -153,7 +153,7 @@ func TestBloom2WThirdPartyPanics(t *testing.T) {
 func checkTwoWriterAtomic(t *testing.T, name string, factory TwoWriterFactory, seeds int) {
 	t.Helper()
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		reg := factory(0, 1, false)
+		reg := factory(0, 1, false, false)
 		var rec linearize.Recorder
 		_, err := sched.Run(sched.Config{
 			N: 2, Seed: seed, Adversary: sched.NewRandom(seed * 31),
@@ -195,7 +195,7 @@ func TestBloom2WConstructionIsAtomic(t *testing.T) {
 // reads, writer sets).
 func TestBloom2WArrowUsagePattern(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		reg := NewBloom2W(0, 1, false)
+		reg := NewBloom2W(0, 1, false, false)
 		var rec linearize.Recorder
 		_, err := sched.Run(sched.Config{
 			N: 2, Seed: seed, Adversary: sched.NewRandom(seed*17 + 3),

@@ -156,7 +156,7 @@ func TestEpochTornScanCaughtByHandshakeProbe(t *testing.T) {
 		mem := NewArrow[int](4, register.DirectFactory)
 		mem.SetEpoch(true)
 		mon := audit.New(audit.Options{SampleEvery: 1})
-		mem.SetMonitor(mon)
+		mem.Install(register.Instruments{Monitor: mon})
 		runWorkload(t, mem, 4, 6, seed, sched.NewRandom(seed*3+7))
 		fired += mon.Violations()["scan.handshake"]
 	}

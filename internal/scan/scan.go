@@ -55,6 +55,17 @@ type Memory[T any] interface {
 	Scan(p *sched.Proc) []T
 	// N returns the number of slots.
 	N() int
+	// PeekSlot returns slot j's current value without a scheduler step or
+	// process context — for adversaries, flight dumps and metrics only,
+	// never for algorithm logic (which must pay for a scan).
+	PeekSlot(j int) T
+	// Install installs the run's instruments on the memory and every
+	// register beneath it (nil fields detach). Call once per run, before it
+	// starts.
+	Install(in register.Instruments)
+	// Reset restores the memory to its initial state for instance pooling.
+	// Call only between runs.
+	Reset()
 }
 
 // Arrow is the paper's bounded scannable memory (§2.2).
@@ -72,13 +83,14 @@ type Memory[T any] interface {
 // write's arrow-set follows the first write's value-write, which follows the
 // scanner's clear).
 type Arrow[T any] struct {
-	n      int
-	sink   *obs.Sink
-	mon    *audit.Monitor
-	prof   *prof.Profiler
-	vals   []*register.ToggledSWMR[T]
-	arrows [][]register.TwoWriter // arrows[i][j], i != j
-	local  []T                    // local[i]: last value written by i (owner-only access)
+	n       int
+	factory register.TwoWriterFactory
+	sink    *obs.Sink
+	mon     *audit.Monitor
+	prof    *prof.Profiler
+	vals    []*register.ToggledSWMR[T]
+	arrows  [][]register.TwoWriter // arrows[i][j], i != j
+	local   []T                    // local[i]: last value written by i (owner-only access)
 
 	// c1/c2/view[i] are pid i's double-collect and result buffers, owned by
 	// i's goroutine so a steady-state scan performs zero allocations (the
@@ -98,10 +110,12 @@ type Arrow[T any] struct {
 }
 
 // NewArrow builds an Arrow memory for n processes using factory (direct
-// atomic 2W2R registers or Bloom's construction) for the arrow registers.
+// atomic 2W2R registers or Bloom's construction) for the arrow registers,
+// every register in mutex storage (see SetNative).
 func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 	a := &Arrow[T]{
 		n:       n,
+		factory: factory,
 		vals:    make([]*register.ToggledSWMR[T], n),
 		arrows:  make([][]register.TwoWriter, n),
 		local:   make([]T, n),
@@ -110,124 +124,78 @@ func NewArrow[T any](n int, factory register.TwoWriterFactory) *Arrow[T] {
 		view:    make([][]T, n),
 		retries: make([]pad.Int64, n),
 	}
-	var zero T
 	for i := 0; i < n; i++ {
-		a.vals[i] = register.NewToggledSWMR(i, zero)
 		a.arrows[i] = make([]register.TwoWriter, n)
 		a.c1[i] = make([]register.Toggled[T], n)
 		a.c2[i] = make([]register.Toggled[T], n)
 		a.view[i] = make([]T, n)
-		for j := 0; j < n; j++ {
-			if i != j {
-				a.arrows[i][j] = factory(i, j, false)
-			}
-		}
 	}
+	a.SetNative(false)
 	return a
 }
 
-// Reset restores the memory to its initial state (zero values, cleared
-// toggles and arrows) for instance pooling, reporting whether every arrow
-// register supported it. Call only between runs.
-func (a *Arrow[T]) Reset() bool {
+// SetNative (re)builds every register beneath the memory in its initial
+// state, in the storage mode of the chosen substrate (native: lock-free). It
+// is part of construction: call it on a fresh memory, before Install. The
+// per-pid scratch buffers need no change: each is owned by one process's
+// goroutine on either substrate.
+func (a *Arrow[T]) SetNative(on bool) {
+	var zero T
+	for i := 0; i < a.n; i++ {
+		a.vals[i] = register.NewToggledSWMR(i, zero, on)
+		for j := 0; j < a.n; j++ {
+			if i != j {
+				a.arrows[i][j] = a.factory(i, j, false, on)
+			}
+		}
+	}
+}
+
+// Reset implements Memory: zero values, cleared toggles and arrows.
+func (a *Arrow[T]) Reset() {
 	var zero T
 	for i := 0; i < a.n; i++ {
 		a.vals[i].Reset(zero)
 		a.local[i] = zero
 		a.retries[i].Store(0)
 		for j := 0; j < a.n; j++ {
-			if i == j {
-				continue
+			if i != j {
+				a.arrows[i][j].Reset(false)
 			}
-			r, ok := a.arrows[i][j].(register.TwoWriterResetter)
-			if !ok {
-				return false
-			}
-			r.Reset(false)
 		}
 	}
-	return true
 }
 
 // N implements Memory.
 func (a *Arrow[T]) N() int { return a.n }
 
-// SetSink installs the observability sink on the memory and every register
-// beneath it.
-func (a *Arrow[T]) SetSink(s *obs.Sink) {
-	a.sink = s
+// Install implements Memory. The monitor gets the scan handshake probe here
+// and the sampled register-regularity probe on every value register; the
+// profiler's hooks are strictly passive, every site guarded by Enabled().
+// The space meter attributes the n value registers to the register layer and
+// the snapshot machinery — one toggle bit per value register plus the n(n-1)
+// arrow registers — to the scan layer. The payload width of the values
+// themselves is declared by the protocol that owns the entries.
+func (a *Arrow[T]) Install(in register.Instruments) {
+	a.sink, a.mon, a.prof = in.Sink, in.Monitor, in.Profiler
 	for i := 0; i < a.n; i++ {
-		a.vals[i].SetSink(s)
+		a.vals[i].Install(in, space.LayerRegister)
 		for j := 0; j < a.n; j++ {
 			if i != j {
-				if ss, ok := a.arrows[i][j].(register.SinkSetter); ok {
-					ss.SetSink(s)
-				}
+				a.arrows[i][j].Install(in, space.LayerScan)
 			}
 		}
 	}
-}
-
-// SetNative switches every underlying register's storage mode for the
-// chosen substrate (see register.NativeSetter), propagating exactly like
-// SetSink. The per-pid scratch buffers need no change: each is owned by one
-// process's goroutine on either substrate.
-func (a *Arrow[T]) SetNative(on bool) {
-	for i := 0; i < a.n; i++ {
-		a.vals[i].SetNative(on)
-		for j := 0; j < a.n; j++ {
-			if i != j {
-				if ns, ok := a.arrows[i][j].(register.NativeSetter); ok {
-					ns.SetNative(on)
-				}
-			}
-		}
-	}
-}
-
-// SetMonitor attaches the invariant monitor to the memory (the scan
-// handshake probe) and to every value register beneath it (the sampled
-// register-regularity probe). A nil m detaches — ExecuteProto always calls
-// it so pooled instances never carry a stale monitor.
-func (a *Arrow[T]) SetMonitor(m *audit.Monitor) {
-	a.mon = m
-	for i := range a.vals {
-		a.vals[i].SetMonitor(m, i)
-	}
-}
-
-// SetProfiler attaches the step profiler (nil detaches — ExecuteProto
-// always calls it so pooled instances never carry a stale profiler). The
-// profiler is strictly passive; every hook site is guarded by Enabled().
-func (a *Arrow[T]) SetProfiler(f *prof.Profiler) { a.prof = f }
-
-// SetSpace installs the space meter down the register stack, attributing the
-// n value registers to the register layer and the snapshot machinery — one
-// toggle bit per value register plus the n(n-1) arrow registers — to the
-// scan layer (nil detaches; see register.SpaceSetter). The payload width of
-// the values themselves is declared by the protocol that owns the entries.
-func (a *Arrow[T]) SetSpace(m *space.Meter, _ space.Layer) {
-	for i := 0; i < a.n; i++ {
-		a.vals[i].SetSpace(m, space.LayerRegister)
-		for j := 0; j < a.n; j++ {
-			if i != j {
-				if sp, ok := a.arrows[i][j].(register.SpaceSetter); ok {
-					sp.SetSpace(m, space.LayerScan)
-				}
-			}
-		}
-	}
-	m.AddWords(space.LayerScan, int64(a.n)) // toggle bits
-	m.DeclareDomain(space.LayerScan, 2)
+	in.Space.AddWords(space.LayerScan, int64(a.n)) // toggle bits
+	in.Space.DeclareDomain(space.LayerScan, 2)
 }
 
 // SetEpoch selects (or deselects) the dirty-bit epoch retry path for every
 // scanner. It changes only the *cost* of retrying scans — views, events and
 // probe verdicts keep their semantics — but it does change step counts on
-// retry, so it is opt-in: ExecuteProto enables it together with commuting
-// dispatch and leaves the default path byte-identical to previous releases.
-// Idempotent; call only between runs (pooled instances are re-armed like
-// SetNative).
+// retry, so it is opt-in: core builds it in for commuting dispatch
+// (core.Config.ScanEpoch) and leaves the default path byte-identical to
+// previous releases. Part of construction: call it before the first scan.
 func (a *Arrow[T]) SetEpoch(on bool) {
 	a.epoch = on
 	if on && a.epTrip == nil {
@@ -497,9 +465,7 @@ func (a *Arrow[T]) scanEpoch(p *sched.Proc) []T {
 // Retries returns the total number of scan retries performed by pid so far.
 func (a *Arrow[T]) Retries(pid int) int64 { return a.retries[pid].Load() }
 
-// PeekSlot returns the current value of slot j without a scheduler step or
-// process context — for protocol-aware adversaries and metrics only, never
-// for algorithm logic (which must pay for a scan).
+// PeekSlot implements Memory.
 func (a *Arrow[T]) PeekSlot(j int) T { return a.vals[j].Peek().Val }
 
 // seqCell is a value stamped with an unbounded sequence number.
@@ -549,9 +515,8 @@ func NewSeqSnap[T any](n int) *SeqSnap[T] {
 	return s
 }
 
-// Reset restores the memory to its initial state (zero values, sequence
-// numbers rewound) for instance pooling. Call only between runs.
-func (s *SeqSnap[T]) Reset() bool {
+// Reset implements Memory: zero values, sequence numbers rewound.
+func (s *SeqSnap[T]) Reset() {
 	var zero T
 	for i := 0; i < s.n; i++ {
 		s.vals[i].Reset(seqCell[T]{})
@@ -559,41 +524,22 @@ func (s *SeqSnap[T]) Reset() bool {
 		s.seq[i] = 0
 		s.retries[i].Store(0)
 	}
-	return true
 }
 
 // N implements Memory.
 func (s *SeqSnap[T]) N() int { return s.n }
 
-// SetSink installs the observability sink on the memory and its registers.
-func (s *SeqSnap[T]) SetSink(sk *obs.Sink) {
-	s.sink = sk
-	for _, r := range s.vals {
-		r.SetSink(sk)
-	}
-}
-
-// SetProfiler attaches the step profiler (nil detaches; see Arrow).
-func (s *SeqSnap[T]) SetProfiler(f *prof.Profiler) { s.prof = f }
-
-// SetSpace installs the space meter: value registers on the register layer,
-// the per-register sequence number — the unbounded word this baseline pays
-// for its snapshots — on the scan layer, with its growth measured online in
+// Install implements Memory: value registers on the register layer, the
+// per-register sequence number — the unbounded word this baseline pays for
+// its snapshots — on the scan layer, with its growth measured online in
 // Write.
-func (s *SeqSnap[T]) SetSpace(m *space.Meter, _ space.Layer) {
-	s.spc = m
+func (s *SeqSnap[T]) Install(in register.Instruments) {
+	s.sink, s.prof, s.spc = in.Sink, in.Profiler, in.Space
 	for _, r := range s.vals {
-		r.SetSpace(m, space.LayerRegister)
+		r.Install(in, space.LayerRegister)
 	}
-	m.AddWords(space.LayerScan, int64(s.n)) // sequence numbers
-	m.DeclareUnbounded(space.LayerScan)
-}
-
-// SetNative switches every value register's storage mode (see Arrow).
-func (s *SeqSnap[T]) SetNative(on bool) {
-	for _, r := range s.vals {
-		r.SetNative(on)
-	}
+	in.Space.AddWords(space.LayerScan, int64(s.n)) // sequence numbers
+	in.Space.DeclareUnbounded(space.LayerScan)
 }
 
 // Write implements Memory. One atomic step; the sequence number grows without
@@ -666,8 +612,7 @@ func (s *SeqSnap[T]) Scan(p *sched.Proc) []T {
 // Retries returns the total number of scan retries performed by pid so far.
 func (s *SeqSnap[T]) Retries(pid int) int64 { return s.retries[pid].Load() }
 
-// PeekSlot returns the current value of slot j without a scheduler step —
-// for adversaries and metrics only.
+// PeekSlot implements Memory.
 func (s *SeqSnap[T]) PeekSlot(j int) T { return s.vals[j].Peek().val }
 
 // MaxSeq returns the largest sequence number written so far — the
@@ -708,39 +653,26 @@ func NewCollect[T any](n int) *Collect[T] {
 	return c
 }
 
-// Reset restores the memory to its initial state for instance pooling.
-func (c *Collect[T]) Reset() bool {
+// Reset implements Memory.
+func (c *Collect[T]) Reset() {
 	var zero T
 	for i := 0; i < c.n; i++ {
 		c.vals[i].Reset(zero)
 		c.local[i] = zero
 	}
-	return true
 }
 
 // N implements Memory.
 func (c *Collect[T]) N() int { return c.n }
 
-// SetSink installs the observability sink on the underlying registers (the
-// single-collect scan has no retries of its own to report).
-func (c *Collect[T]) SetSink(s *obs.Sink) {
-	for _, r := range c.vals {
-		r.SetSink(s)
-	}
-}
+// PeekSlot implements Memory.
+func (c *Collect[T]) PeekSlot(j int) T { return c.vals[j].Peek() }
 
-// SetNative switches every value register's storage mode (see Arrow).
-func (c *Collect[T]) SetNative(on bool) {
+// Install implements Memory on the value registers (the single-collect scan
+// has no retries of its own to report and no snapshot machinery to account).
+func (c *Collect[T]) Install(in register.Instruments) {
 	for _, r := range c.vals {
-		r.SetNative(on)
-	}
-}
-
-// SetSpace installs the space meter on the value registers (the
-// single-collect baseline has no snapshot machinery to account).
-func (c *Collect[T]) SetSpace(m *space.Meter, _ space.Layer) {
-	for _, r := range c.vals {
-		r.SetSpace(m, space.LayerRegister)
+		r.Install(in, space.LayerRegister)
 	}
 }
 
@@ -791,22 +723,49 @@ func (k Kind) String() string {
 	}
 }
 
-// New builds a Memory of the given kind for n processes. The factory is used
-// only by KindArrow (pass nil for the others to get direct registers).
-func New[T any](kind Kind, n int, factory register.TwoWriterFactory) (Memory[T], error) {
+// New builds a Memory of the given kind for n processes, every register in
+// native (lock-free) storage when native is set. The factory is used only by
+// KindArrow (pass nil for the others to get direct registers); epoch selects
+// the Arrow's dirty-bit retry path (see Arrow.SetEpoch), which the other
+// kinds do not have.
+func New[T any](kind Kind, n int, factory register.TwoWriterFactory, native, epoch bool) (Memory[T], error) {
 	switch kind {
 	case KindArrow:
 		if factory == nil {
 			factory = register.DirectFactory
 		}
-		return NewArrow[T](n, factory), nil
+		a := NewArrow[T](n, factory)
+		if native {
+			a.SetNative(true)
+		}
+		a.SetEpoch(epoch)
+		return a, nil
 	case KindSeqSnap:
-		return NewSeqSnap[T](n), nil
+		s := NewSeqSnap[T](n)
+		nativeRegs(native, s.vals)
+		return s, nil
 	case KindCollect:
-		return NewCollect[T](n), nil
+		c := NewCollect[T](n)
+		nativeRegs(native, c.vals)
+		return c, nil
 	case KindWaitFree:
-		return NewWaitFree[T](n), nil
+		w := NewWaitFree[T](n)
+		nativeRegs(native, w.regs)
+		for _, row := range w.hands {
+			nativeRegs(native, row)
+		}
+		return w, nil
 	default:
 		return nil, fmt.Errorf("scan: unknown memory kind %d", int(kind))
+	}
+}
+
+// nativeRegs puts every register of regs (skipping the nil diagonal of a
+// pairwise matrix) into native storage when native is set.
+func nativeRegs[V any](native bool, regs []*register.SWMR[V]) {
+	for _, r := range regs {
+		if r != nil {
+			r.SetNative(native)
+		}
 	}
 }

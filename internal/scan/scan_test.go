@@ -189,7 +189,7 @@ func TestSeqSnapMaxSeqGrowsWithoutBound(t *testing.T) {
 
 func TestNewFactory(t *testing.T) {
 	for _, k := range []Kind{KindArrow, KindSeqSnap, KindCollect} {
-		m, err := New[int](k, 3, nil)
+		m, err := New[int](k, 3, nil, false, false)
 		if err != nil {
 			t.Fatalf("New(%v): %v", k, err)
 		}
@@ -200,7 +200,7 @@ func TestNewFactory(t *testing.T) {
 			t.Fatalf("Kind %d has no name", int(k))
 		}
 	}
-	if _, err := New[int](Kind(99), 3, nil); err == nil {
+	if _, err := New[int](Kind(99), 3, nil, false, false); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
 }

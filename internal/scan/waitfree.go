@@ -106,11 +106,10 @@ func NewWaitFree[T any](n int) *WaitFree[T] {
 	return w
 }
 
-// Reset restores the snapshot to its initial state (zero values, empty views,
-// cleared toggles and handshake bits) for instance pooling. The published
-// p-vectors are reallocated rather than cleared in place: records already
-// handed out to readers treat them as immutable. Call only between runs.
-func (w *WaitFree[T]) Reset() bool {
+// Reset implements Memory: zero values, empty views, cleared toggles and
+// handshake bits. The published p-vectors are reallocated rather than cleared
+// in place: records already handed out to readers treat them as immutable.
+func (w *WaitFree[T]) Reset() {
 	var zero T
 	for i := 0; i < w.n; i++ {
 		w.regs[i].Reset(wfRec[T]{p: make([]bool, w.n)})
@@ -125,60 +124,32 @@ func (w *WaitFree[T]) Reset() bool {
 			}
 		}
 	}
-	return true
 }
 
 // N implements Memory.
 func (w *WaitFree[T]) N() int { return w.n }
 
-// SetSink installs the observability sink on the memory and every register
-// beneath it. Handshake-bit traffic is counted (not recorded): one scan
-// iteration touches n-1 handshake registers and would drown a trace.
-func (w *WaitFree[T]) SetSink(s *obs.Sink) {
-	w.sink = s
-	for i := 0; i < w.n; i++ {
-		w.regs[i].SetSink(s)
-		for j := 0; j < w.n; j++ {
-			if i != j {
-				w.hands[i][j].SetSink(s)
-			}
-		}
-	}
-}
-
-// SetProfiler attaches the step profiler (nil detaches; see Arrow).
-func (w *WaitFree[T]) SetProfiler(f *prof.Profiler) { w.prof = f }
-
-// SetSpace installs the space meter: the n value registers on the register
+// Install implements Memory. Handshake-bit traffic is counted (not
+// recorded): one scan iteration touches n-1 handshake registers and would
+// drown a trace. The space meter gets the n value registers on the register
 // layer, and the construction's bounded snapshot machinery on the scan layer
 // — per register one toggle bit, n handshake p-bits, one embedded view slot
 // per process, plus the n(n-1) handshake-bit registers. The payload width of
 // the values is declared by the protocol that owns the entries.
-func (w *WaitFree[T]) SetSpace(m *space.Meter, _ space.Layer) {
+func (w *WaitFree[T]) Install(in register.Instruments) {
+	w.sink, w.prof = in.Sink, in.Profiler
 	n := int64(w.n)
 	for i := 0; i < w.n; i++ {
-		w.regs[i].SetSpace(m, space.LayerRegister)
+		w.regs[i].Install(in, space.LayerRegister)
 		for j := 0; j < w.n; j++ {
 			if i != j {
-				w.hands[i][j].SetSpace(m, space.LayerScan)
+				w.hands[i][j].Install(in, space.LayerScan)
 			}
 		}
 	}
 	// toggle + p-vector + embedded view per record, one bit per handshake reg.
-	m.AddWords(space.LayerScan, n*(1+n+n)+n*(n-1))
-	m.DeclareDomain(space.LayerScan, 2)
-}
-
-// SetNative switches every underlying register's storage mode (see Arrow).
-func (w *WaitFree[T]) SetNative(on bool) {
-	for i := 0; i < w.n; i++ {
-		w.regs[i].SetNative(on)
-		for j := 0; j < w.n; j++ {
-			if i != j {
-				w.hands[i][j].SetNative(on)
-			}
-		}
-	}
+	in.Space.AddWords(space.LayerScan, n*(1+n+n)+n*(n-1))
+	in.Space.DeclareDomain(space.LayerScan, 2)
 }
 
 // Write implements Memory (the construction's update): embedded snapshot,
@@ -306,6 +277,5 @@ func (w *WaitFree[T]) Retries(pid int) int64 { return w.retries[pid].Load() }
 // view.
 func (w *WaitFree[T]) Borrows(pid int) int64 { return w.borrows[pid].Load() }
 
-// PeekSlot returns the current value of slot j without a scheduler step —
-// for adversaries and metrics only.
+// PeekSlot implements Memory.
 func (w *WaitFree[T]) PeekSlot(j int) T { return w.regs[j].Peek().val }

@@ -147,7 +147,7 @@ func TestWaitFreeScanIterationBound(t *testing.T) {
 }
 
 func TestWaitFreeKindFactory(t *testing.T) {
-	m, err := New[int](KindWaitFree, 3, nil)
+	m, err := New[int](KindWaitFree, 3, nil, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func (p Params) StepCounterAudited(c int, proc *sched.Proc, sink *obs.Sink, mon 
 type SharedCoin struct {
 	params Params
 	sink   *obs.Sink
-	mem    scan.Memory[int]
+	mem    *scan.Arrow[int]
 	local  []int // local[i]: i's counter (owner-only; mirrors mem slot i)
 	steps  []int64
 
@@ -209,37 +209,26 @@ func NewSharedCoin(params Params) (*SharedCoin, error) {
 func (s *SharedCoin) Params() Params { return s.params }
 
 // Reset restores the coin to its initial state (all counters zero, underlying
-// memory reset, hooks cleared) for instance pooling, reporting whether the
-// scannable memory supported it. Call only between runs.
-func (s *SharedCoin) Reset() bool {
-	r, ok := s.mem.(interface{ Reset() bool })
-	if !ok || !r.Reset() {
-		return false
-	}
+// memory reset, hooks cleared) for instance pooling. Call only between runs.
+func (s *SharedCoin) Reset() {
+	s.mem.Reset()
 	for i := range s.local {
 		s.local[i] = 0
 		s.steps[i] = 0
 	}
 	s.OnStep = nil
-	return true
 }
 
-// SetSink installs the observability sink on the coin and the scannable
-// memory beneath it.
-func (s *SharedCoin) SetSink(sk *obs.Sink) {
-	s.sink = sk
-	if ss, ok := s.mem.(interface{ SetSink(*obs.Sink) }); ok {
-		ss.SetSink(sk)
-	}
+// Install installs the run's instruments on the coin and the scannable
+// memory beneath it (nil fields detach). Call before the run starts.
+func (s *SharedCoin) Install(in register.Instruments) {
+	s.sink = in.Sink
+	s.mem.Install(in)
 }
 
-// SetNative switches the memory stack's register storage to the substrate's
-// mode (see register.NativeSetter); call before the run starts.
-func (s *SharedCoin) SetNative(on bool) {
-	if sn, ok := s.mem.(interface{ SetNative(bool) }); ok {
-		sn.SetNative(on)
-	}
-}
+// SetNative rebuilds the memory stack's registers in the substrate's storage
+// mode (see scan.Arrow.SetNative); call on a fresh coin, before Install.
+func (s *SharedCoin) SetNative(on bool) { s.mem.SetNative(on) }
 
 // Flip drives the random walk on behalf of p until the coin decides, and
 // returns the outcome p observed. Different processes may observe different

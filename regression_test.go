@@ -1,6 +1,9 @@
 package consensus
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // regressionGoldens pins (algorithm, seed) → (decision, total steps) for all
 // five protocol kinds under the seeded random schedule. Any drift in the
@@ -110,5 +113,32 @@ func TestRegressionBaselineWithdrawalPause(t *testing.T) {
 				t.Fatalf("%v seed %d: %v", alg, seed, err)
 			}
 		}
+	}
+}
+
+// TestSolveReportsAgreementViolation pins what Solve returns on a
+// consistency violation: the error together with the populated result, so a
+// caller can see the steps, per-process decisions and audit firings behind
+// it. The seed is the recorded bounded-protocol agreement violation (see
+// ROADMAP); once that defect is fixed the run decides cleanly and this test
+// must move to another reproducer.
+func TestSolveReportsAgreementViolation(t *testing.T) {
+	res, err := Solve(Config{
+		Inputs:           []int{0, 1, 0, 1, 1},
+		Seed:             8561991887606745788,
+		Schedule:         Schedule{Kind: RandomSchedule},
+		MaxSteps:         20_000_000,
+		Audit:            true,
+		AuditSampleEvery: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "consistency violated") {
+		t.Fatalf("err = %v, want the consistency violation", err)
+	}
+	if res.Value != -1 || res.Steps != 59809 || len(res.Values) != 5 {
+		t.Errorf("result = value %d, steps %d, values %v; want value -1, steps 59809 and five decisions",
+			res.Value, res.Steps, res.Values)
+	}
+	if res.Violations["core.agreement"] != 2 || res.Violations["strip.graph"] == 0 {
+		t.Errorf("violations = %v, want core.agreement×2 and strip.graph firings", res.Violations)
 	}
 }

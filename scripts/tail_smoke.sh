@@ -4,9 +4,10 @@
 # Runs a metered batch with a straggler digest and replay (-stragglers 3
 # -straggler-replay), asserts the bench report carries the latency block, the
 # straggler digests and the environment stamp, that every forensic bundle is
-# complete and parses through traceview -tail, that consensus-straggler's
-# blame table works, and that the live server's /timeseries ring and /stream
-# SSE feed serve samples. Exits nonzero on any missing surface.
+# complete and parses through traceview -tail, that each replay line carries
+# its blame (prod/retry/coin step shares), and that the live server's
+# /timeseries ring and /stream SSE feed serve samples. Exits nonzero on any
+# missing surface.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,7 +17,6 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT INT TERM
 PID=""
 
 go build -o "$TMP/consensus-load" ./cmd/consensus-load
-go build -o "$TMP/consensus-straggler" ./cmd/consensus-straggler
 go build -o "$TMP/traceview" ./cmd/traceview
 
 # 1. Metered batch with digest + replay: the report carries the tail blocks.
@@ -46,10 +46,9 @@ grep -q 'wall-clock latency per workload' "$TMP/tailview" &&
 	grep -q 'straggler digests' "$TMP/tailview" ||
 	{ echo "tail_smoke: traceview -tail output incomplete" >&2; cat "$TMP/tailview" >&2; exit 1; }
 
-# 4. The forensics driver replays and attributes in one shot.
-"$TMP/consensus-straggler" -instances 60 -stragglers 2 -seed 3 -dir "$TMP/forensics" >"$TMP/stragout"
-grep -q 'blame' "$TMP/stragout" && grep -q 'prod ' "$TMP/stragout" ||
-	{ echo "tail_smoke: consensus-straggler table incomplete" >&2; cat "$TMP/stragout" >&2; exit 1; }
+# 4. Every replay line attributes the straggler's steps.
+[ "$(grep -c 'blame prod .* retry .* coin ' "$TMP/stderr")" -eq 3 ] ||
+	{ echo "tail_smoke: replay lines lack the blame column" >&2; cat "$TMP/stderr" >&2; exit 1; }
 
 # 5. Live timeseries: /timeseries serves the ring, /stream serves SSE frames.
 "$TMP/consensus-load" -instances 40 -seed 7 -listen 127.0.0.1:0 -linger 30s \
